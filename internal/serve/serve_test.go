@@ -1,19 +1,26 @@
 // White-box tests for the serving layer's concurrency and storage
 // primitives: the FIFO weighted semaphore behind the worker budget, the
-// drop-counted SSE broadcaster, the content-addressed bundle store, and the
-// request planner. The HTTP surface is covered black-box in e2e_test.go.
+// drop-counted SSE broadcaster, the content-addressed bundle store, the
+// request planner and the solver series of /metrics. The HTTP surface is
+// covered black-box in e2e_test.go.
 package serve
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"achilles/internal/campaign"
 	"achilles/internal/core"
+	"achilles/internal/expr"
 	"achilles/internal/protocols/registry"
+	"achilles/internal/solver"
 )
 
 // TestWsemAllOrNothingFIFO: grants are atomic and strictly in arrival
@@ -334,6 +341,53 @@ func TestPlanJob(t *testing.T) {
 	} {
 		if _, _, err := s.planJob(bad); err == nil {
 			t.Errorf("planJob(%+v) accepted an invalid request", bad)
+		}
+	}
+}
+
+// TestMetricsSolverFootprint: /metrics exports the shared solver's intern
+// arena — its distinct expressions as a gauge, its pointer-memo resets as a
+// counter — as well-formed samples carrying the solver's own Stats.
+func TestMetricsSolverFootprint(t *testing.T) {
+	sol := solver.Default()
+	sol.CheckExpr(expr.Lt(expr.Var("x"), expr.Const(3)))
+	s, err := New(Config{StoreDir: filepath.Join(t.TempDir(), "store"), Solver: sol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	types, samples := map[string]string{}, map[string]int64{}
+	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			types[f[2]] = f[3]
+		case strings.HasPrefix(line, "#"):
+		case len(f) == 2:
+			v, err := strconv.ParseInt(f[1], 10, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			samples[f[0]] = v
+		default:
+			t.Fatalf("malformed exposition line %q", line)
+		}
+	}
+	st := sol.Stats()
+	if st.Interned == 0 {
+		t.Fatal("the solver interned nothing")
+	}
+	for _, m := range []struct {
+		name, kind string
+		want       int64
+	}{
+		{"achillesd_solver_interned_terms", "gauge", int64(st.Interned)},
+		{"achillesd_solver_memo_resets_total", "counter", int64(st.MemoResets)},
+	} {
+		got, ok := samples[m.name]
+		if !ok || got != m.want || types[m.name] != m.kind {
+			t.Errorf("%s: sample %d (present %v), type %q; want %d, %s", m.name, got, ok, types[m.name], m.want, m.kind)
 		}
 	}
 }

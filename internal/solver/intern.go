@@ -16,36 +16,52 @@ package solver
 // uses are set-membership keys (learned conflict sets, prefix subsumption),
 // which are order-insensitive.
 //
-// Unification is structural: a pointer-cache fast path (path-constraint
-// slices share expression pointers across sibling states, so this hits
-// almost always) backed by hash buckets resolved with expr.Equal, so two
-// structurally equal trees always map to one entry and an entry can never
-// alias two distinct expressions.
+// Unification is structural: hash buckets resolved with expr.Equal are the
+// only source of truth, so two structurally equal trees always map to one
+// entry and an entry can never alias two distinct expressions. In front of
+// them sits a pointer memo (path-constraint slices share expression pointers
+// across sibling states, so it hits almost always). The memo keeps every
+// pointer it holds alive, and every job on a long-lived solver (a daemon's,
+// a campaign's) builds fresh trees, so the memo is cleared once it has taken
+// memoCap new entries. A reset costs time only: a cleared pointer re-resolves
+// through the hash buckets to the same entry — same ID, rendering,
+// linearisation and ckeyID — so no verdict, model, cache key or learned-set
+// key can change.
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"achilles/internal/expr"
 )
 
+// memoCap bounds the pointer memo. A whole audit on a fresh solver (the fleet
+// campaign, the rich FSP corpus) stores about 9k entries, so only solvers
+// that outlive an audit ever reset it.
+const memoCap = 1 << 14
+
 // internEntry is the canonical per-solver record of one structurally
-// distinct expression. Immutable after construction.
+// distinct expression. Immutable after construction, except that neg is
+// filled in on first use.
 type internEntry struct {
 	id     uint64
 	e      *expr.Expr
-	render string   // e.String(), computed once
-	la     *linAtom // linearisation; nil when e is outside the linear fragment
-	vars   []string // sorted variable names of e
+	render string                      // e.String(), computed once
+	la     *linAtom                    // linearisation; nil when e is outside the linear fragment
+	vars   []string                    // sorted variable names of e
+	neg    atomic.Pointer[internEntry] // entry of expr.Not(e); see negation
 }
 
 // internArena unifies expressions for one Solver. Safe for concurrent use:
-// the pointer cache is a sync.Map (lock-free hits), creation and structural
+// the pointer memo is a sync.Map (lock-free hits), creation and structural
 // unification run under one mutex.
 type internArena struct {
-	byPtr  sync.Map // *expr.Expr -> *internEntry
-	mu     sync.Mutex
-	byHash map[uint64][]*internEntry
-	nextID uint64
+	byPtr   sync.Map     // *expr.Expr -> *internEntry, bounded by memoCap
+	memoLen atomic.Int64 // entries stored in byPtr since its last reset
+	resets  atomic.Int64 // byPtr resets, reported as Stats.MemoResets
+	mu      sync.Mutex
+	byHash  map[uint64][]*internEntry
+	nextID  uint64
 	// ckeyIDs numbers distinct linear-combination fingerprints from 1 so
 	// linearConflict can compare combinations by integer (see linAtom.ckeyID).
 	ckeyIDs map[string]uint32
@@ -70,7 +86,7 @@ func (a *internArena) intern(e *expr.Expr) *internEntry {
 			a.mu.Unlock()
 			// Remember this alias pointer too: the next lookup through the
 			// same tree is then lock-free.
-			a.byPtr.Store(e, en)
+			a.remember(e, en)
 			return en
 		}
 	}
@@ -88,8 +104,34 @@ func (a *internArena) intern(e *expr.Expr) *internEntry {
 	en.vars = expr.Vars(e)
 	a.byHash[h] = append(a.byHash[h], en)
 	a.mu.Unlock()
-	a.byPtr.Store(e, en)
+	a.remember(e, en)
 	return en
+}
+
+// remember memoises e's entry. Only a store that adds an entry counts
+// towards memoCap — goroutines racing to store one alias count it once — and
+// the store that passes the cap clears the memo.
+func (a *internArena) remember(e *expr.Expr, en *internEntry) {
+	if _, loaded := a.byPtr.LoadOrStore(e, en); loaded {
+		return
+	}
+	if n := a.memoLen.Add(1); n > memoCap && a.memoLen.CompareAndSwap(n, 0) {
+		a.byPtr.Clear()
+		a.resets.Add(1)
+	}
+}
+
+// negation returns the entry of expr.Not(en.e). Prefix.Implies asks for the
+// complements of the same atoms over and over; a fresh Not tree per call
+// would be garbage on return that the memo keeps alive, so each entry
+// interns its complement once and keeps it.
+func (a *internArena) negation(en *internEntry) *internEntry {
+	if n := en.neg.Load(); n != nil {
+		return n
+	}
+	n := a.intern(expr.Not(en.e))
+	en.neg.Store(n)
+	return n
 }
 
 // size reports the number of distinct interned expressions.

@@ -158,7 +158,7 @@ func (p *Prefix) Implies(cond *expr.Expr) (holds, ok bool) {
 	if p.ids[en.id] {
 		return true, true
 	}
-	nen := p.s.arena.intern(expr.Not(cond))
+	nen := p.s.arena.negation(en)
 	if nen.la == nil || len(nen.la.vars) == 0 {
 		return false, false
 	}

@@ -103,11 +103,14 @@ type Stats struct {
 	// number of recorded conflict sets, LearnedHits the number of
 	// conjunctions answered Unsat from the learned index without
 	// re-propagating, FeasibleHits the number of split-node feasibility
-	// gates answered "not refuted" from the complementary memo.
+	// gates answered "not refuted" from the complementary memo, and
+	// MemoResets the number of times the arena's bounded pointer memo was
+	// cleared (only a solver that outlives one audit reaches the bound).
 	Interned     int
 	LearnedSets  int
 	LearnedHits  int
 	FeasibleHits int
+	MemoResets   int
 }
 
 // counters is the internal, concurrency-safe representation of Stats.
@@ -201,6 +204,7 @@ func (s *Solver) Stats() Stats {
 		LearnedSets:  s.learned.size(),
 		LearnedHits:  int(s.stats.learnedHits.Load()),
 		FeasibleHits: int(s.stats.feasibleHits.Load()),
+		MemoResets:   int(s.arena.resets.Load()),
 	}
 }
 
@@ -218,6 +222,7 @@ func (s *Solver) ResetStats() {
 	s.stats.reverifyFailed.Store(0)
 	s.stats.learnedHits.Store(0)
 	s.stats.feasibleHits.Store(0)
+	s.arena.resets.Store(0)
 }
 
 // satLimit is the saturation bound for interval arithmetic: all domain
