@@ -48,10 +48,12 @@
 // With -workers N (N >= 1) the campaign runs distributed: N achilles-worker
 // subprocesses are spawned (-worker-bin overrides the binary, which is
 // otherwise looked up next to this executable and then on PATH) and jobs are
-// sharded across them by input fingerprint, with work stealing, crash
-// requeue and solver-cache delta exchange (internal/dispatch). Because job
-// results are deterministic, the bundle is ContentHash-identical to an
-// in-process run at every worker count. The default (0) runs in-process.
+// sharded across them by input fingerprint, with work stealing and crash
+// requeue (internal/dispatch). A -cache file seeds every worker, and when
+// -cache is set the verdicts the workers computed are collected from them
+// after the campaign and saved with it. Because job results are
+// deterministic, the bundle is ContentHash-identical to an in-process run at
+// every worker count. The default (0) runs in-process.
 //
 // "diff" compares two bundles class-by-class and exits 0 when identical,
 // 1 when Trojan classes appeared, disappeared or changed, 2 on usage or
@@ -251,8 +253,8 @@ func cmdRun(args []string) {
 	var coord *dispatch.Coordinator
 	if *workers > 0 {
 		// The fleet spawns after the cache load so the coordinator seeds every
-		// worker with the warmed verdict cache; it is torn down right after
-		// the campaign, before the save, so fleet-learned deltas persist.
+		// worker with the warmed verdict cache; with -cache set, the workers'
+		// verdicts are collected right after the campaign, before the save.
 		bin, err := findWorkerBin(*workerBin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "achilles-audit:", err)
@@ -301,9 +303,20 @@ func cmdRun(args []string) {
 	// and bundle flush below (the atomic manifest write makes that safe).
 	stopSignals()
 	if coord != nil {
-		// Tear the fleet down before anything else — a cancelled campaign
-		// must not leave worker processes running, and the cache save below
-		// wants the final delta state.
+		// Pull what the fleet learned before the save below — even from an
+		// interrupted campaign, as the in-process path saves its verdicts
+		// too — then tear the fleet down before anything else, so a
+		// cancelled campaign leaves no worker processes running. The collect
+		// gets the same grace Close gives a worker that ignores shutdown.
+		if *cacheFile != "" {
+			cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			if n, err := coord.CollectCache(cctx); err != nil {
+				fmt.Fprintln(os.Stderr, "achilles-audit: collecting worker verdicts:", err)
+			} else {
+				fmt.Printf("solver cache: collected %d verdict(s) from the workers\n", n)
+			}
+			cancel()
+		}
 		coord.Close()
 	}
 	interrupted := errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)

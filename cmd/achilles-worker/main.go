@@ -7,9 +7,10 @@
 // silent. Its stderr passes through to the coordinator's for human eyes.
 //
 // Each worker owns a private solver whose verdict cache is seeded by the
-// coordinator at spawn and kept warm by fleet-wide delta broadcasts; the
-// verdicts it learns ship back after every job. Because a job's class set is
-// a deterministic function of its inputs, a fleet of these produces bundles
+// coordinator at spawn; the verdicts it computes itself stay in that cache
+// until the coordinator collects them (achilles-audit does so only when
+// -cache is set, to persist them). Because a job's class set is a
+// deterministic function of its inputs, a fleet of these produces bundles
 // ContentHash-identical to a single-process run.
 //
 // Fault-injection environment hooks (tests and the CI distributed-smoke job

@@ -101,7 +101,11 @@ func TestSigtermDrainsAndExits0(t *testing.T) {
 	if addr == "" {
 		t.Fatal("daemon never announced its listen address")
 	}
+	// Wait closes the stdout pipe, so it may only run once the narrative has
+	// been read to EOF; tailDone orders the two.
+	tailDone := make(chan struct{})
 	go func() {
+		defer close(tailDone)
 		for sc.Scan() {
 			tail.WriteString(sc.Text() + "\n")
 		}
@@ -152,7 +156,10 @@ func TestSigtermDrainsAndExits0(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
+	go func() {
+		<-tailDone
+		done <- cmd.Wait()
+	}()
 	select {
 	case err := <-done:
 		if err != nil {

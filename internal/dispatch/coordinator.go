@@ -1,11 +1,12 @@
 package dispatch
 
 // The coordinator half of the protocol: spawn N workers, validate their
-// hellos, shard the job graph by fingerprint, and merge results + verdict
-// deltas back into one campaign. It implements campaign.Executor, so the
+// hellos, seed their caches, shard the job graph by fingerprint, and merge
+// results back into one campaign. It implements campaign.Executor, so the
 // campaign engine drives it exactly like the in-process pool.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -14,8 +15,6 @@ import (
 	"os/exec"
 	"sync"
 	"time"
-
-	"context"
 
 	"achilles/internal/campaign"
 	"achilles/internal/solver"
@@ -32,9 +31,9 @@ type Config struct {
 	Command []string
 
 	// Solver is the coordinator-side solver. Its verdict cache seeds every
-	// worker at spawn (so `-cache` warm-starts the fleet), and deltas the
-	// workers learn merge back into it (so `-cache` persists fleet-learned
-	// verdicts). Nil means solver.Default().
+	// worker at spawn (so `-cache` warm-starts the fleet), and CollectCache
+	// merges the verdicts the workers computed back into it (so `-cache`
+	// persists fleet-learned verdicts). Nil means solver.Default().
 	Solver *solver.Solver
 
 	// Stderr receives the workers' stderr; nil means os.Stderr.
@@ -98,6 +97,7 @@ type workerProc struct {
 
 	mu       sync.Mutex
 	inflight map[int]*inflightJob
+	collects map[int]chan []solver.CacheEntry // pending collect replies by ID
 
 	exited chan struct{} // closed by the reader once the worker is reaped
 }
@@ -124,8 +124,8 @@ var (
 )
 
 // Coordinator is the distributed campaign.Executor: jobs negotiated through
-// it run on worker subprocesses, sharded by input fingerprint with
-// work stealing, crash requeue and verdict-delta exchange.
+// it run on worker subprocesses, sharded by input fingerprint with work
+// stealing and crash requeue.
 type Coordinator struct {
 	cfg     Config
 	sol     *solver.Solver
@@ -138,9 +138,6 @@ type Coordinator struct {
 	home   map[string]int
 	nextID int
 	closed bool
-
-	smu  sync.Mutex
-	seen map[string]bool // cache keys already held or broadcast
 }
 
 // Start spawns the worker fleet and validates every worker's hello
@@ -169,7 +166,6 @@ func Start(cfg Config) (*Coordinator, error) {
 		busy: make([]bool, cfg.Workers),
 		dead: make([]bool, cfg.Workers),
 		home: map[string]int{},
-		seen: map[string]bool{},
 	}
 	c.cond = sync.NewCond(&c.mu)
 
@@ -191,6 +187,7 @@ func Start(cfg Config) (*Coordinator, error) {
 			io:       wio,
 			wire:     newWire(wio.out, wio.in),
 			inflight: map[int]*inflightJob{},
+			collects: map[int]chan []solver.CacheEntry{},
 			exited:   make(chan struct{}),
 		}
 		c.workers = append(c.workers, w)
@@ -206,12 +203,9 @@ func Start(cfg Config) (*Coordinator, error) {
 	}
 
 	// Seed every worker with the coordinator's warm cache (the -cache file a
-	// campaign loaded before starting the fleet). Workers mark seeded keys as
-	// already-exchanged, so none of this comes echoing back.
+	// campaign loaded before starting the fleet). Workers leave seeded keys
+	// out of their collect replies, so none of this comes back.
 	if entries, err := sol.ExportCache(); err == nil && len(entries) > 0 {
-		for _, e := range entries {
-			c.seen[e.Key] = true
-		}
 		for _, w := range c.workers {
 			if err := w.send(message{Type: msgCache, Entries: entries}); err != nil {
 				return fail(fmt.Errorf("dispatch: seeding worker %d cache: %w", w.id, err))
@@ -384,9 +378,10 @@ func (c *Coordinator) runOn(ctx context.Context, w *workerProc, j campaign.Job, 
 }
 
 // readLoop owns a worker's stdout: it routes report/done messages to their
-// in-flight assignment, relays progress, and absorbs + rebroadcasts verdict
-// deltas. When the pipe breaks it reaps the worker, fails its in-flight
-// assignment (triggering the requeue) and wakes every acquire waiter.
+// in-flight assignment, collect replies to their waiting CollectCache, and
+// relays progress. When the pipe breaks it reaps the worker, fails its
+// in-flight assignment (triggering the requeue) and wakes every acquire
+// waiter.
 func (c *Coordinator) readLoop(w *workerProc) {
 	for {
 		m, err := w.wire.read()
@@ -411,7 +406,12 @@ func (c *Coordinator) readLoop(w *workerProc) {
 			}
 			w.mu.Unlock()
 		case msgCache:
-			c.absorbDelta(w, m.Entries)
+			w.mu.Lock()
+			if reply := w.collects[m.ID]; reply != nil {
+				delete(w.collects, m.ID)
+				reply <- m.Entries // buffered: one reply per request
+			}
+			w.mu.Unlock()
 		case msgProgress:
 			if c.cfg.OnProgress != nil {
 				w.mu.Lock()
@@ -440,39 +440,49 @@ func (c *Coordinator) readLoop(w *workerProc) {
 	close(w.exited)
 }
 
-// absorbDelta merges a worker's learned verdicts into the coordinator's
-// solver (so a -cache save persists fleet learning) and rebroadcasts the
-// genuinely new entries to every other live worker.
-func (c *Coordinator) absorbDelta(from *workerProc, entries []solver.CacheEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	c.smu.Lock()
-	fresh := make([]solver.CacheEntry, 0, len(entries))
-	for _, e := range entries {
-		if !c.seen[e.Key] {
-			c.seen[e.Key] = true
-			fresh = append(fresh, e)
-		}
-	}
-	c.smu.Unlock()
-	if len(fresh) == 0 {
-		return
-	}
-	// A malformed delta is the worker's bug, not campaign-fatal: ImportCache
-	// is all-or-nothing and the error only costs cache warmth.
-	c.sol.ImportCache(fresh)
+// CollectCache merges the verdicts every live worker computed itself (not
+// its seed) into the coordinator's solver and returns how many were new to
+// it. Workers answer from their reader goroutine, so a reply never waits
+// behind a job in flight; a worker that dies first is skipped, and a
+// cancelled ctx ends the wait with ctx.Err().
+func (c *Coordinator) CollectCache(ctx context.Context) (int, error) {
 	c.mu.Lock()
-	var targets []*workerProc
-	for i, w := range c.workers {
-		if w != from && !c.dead[i] {
-			targets = append(targets, w)
-		}
-	}
+	c.nextID++
+	id := c.nextID
 	c.mu.Unlock()
-	for _, w := range targets {
-		w.send(message{Type: msgCache, Entries: fresh})
+	replies := make([]chan []solver.CacheEntry, len(c.workers))
+	for i, w := range c.workers {
+		// Buffered: a reply that outlives an abandoned wait must not block
+		// the reader.
+		replies[i] = make(chan []solver.CacheEntry, 1)
+		w.mu.Lock()
+		w.collects[id] = replies[i]
+		w.mu.Unlock()
+		w.send(message{Type: msgCollect, ID: id}) // fails only on a dead worker
 	}
+	merged := 0
+	var errs []error
+	for i, w := range c.workers {
+		var entries []solver.CacheEntry
+		select {
+		case entries = <-replies[i]:
+		case <-w.exited:
+			// The reader delivers a reply before it closes exited.
+			select {
+			case entries = <-replies[i]:
+			default:
+				continue
+			}
+		case <-ctx.Done():
+			return merged, ctx.Err()
+		}
+		n, err := c.sol.ImportCache(entries)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("dispatch: worker %d: %w", w.id, err))
+		}
+		merged += n
+	}
+	return merged, errors.Join(errs...)
 }
 
 // Close tears the fleet down leak-free: a clean shutdown message and stdin

@@ -12,15 +12,15 @@
 //     deterministic "home" worker, and lets any idle worker steal a job
 //     homed elsewhere rather than idling behind a straggler;
 //   - coordinator and workers speak a versioned JSONL protocol over the
-//     worker's stdin/stdout: job assignments and cache deltas flow down,
-//     report streams, progress ticks, learned cache deltas and completion
-//     manifests flow up. stderr is passed through for human eyes;
+//     worker's stdin/stdout: the seed, jobs and collect requests flow down;
+//     reports, progress ticks, manifests and collect replies flow up.
+//     stderr is passed through for human eyes;
 //   - a worker that crashes or closes its pipes mid-job has that job
 //     requeued on another live worker; only when every worker is gone does
 //     a job fail, with the pool's demise recorded in its manifest entry;
-//   - verdict deltas learned by one worker are rebroadcast to all others
-//     (and merged into the coordinator's solver, so -cache persists them):
-//     a verdict proved anywhere is reused everywhere.
+//   - verdicts stay where they were proved: the coordinator seeds every
+//     worker with its cache at spawn and pulls back what the workers
+//     computed (CollectCache) only when a caller persists the cache.
 //
 // Determinism: a job's manifest entry and report stream are a pure function
 // of its inputs (the core contract pinned since PR 1 — class sets are
@@ -46,7 +46,7 @@ import (
 // worker that greets with a different revision — mixing protocol dialects
 // mid-campaign could drop or misroute results, which is strictly worse than
 // failing fast at spawn time.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // Message types, in the order they typically flow.
 const (
@@ -61,8 +61,11 @@ const (
 	msgReport = "report"
 	// msgDone completes a job with its manifest entry (worker → coordinator).
 	msgDone = "done"
-	// msgCache carries verdict-cache deltas (both directions).
+	// msgCache carries verdicts: the seed (coordinator → worker) or a
+	// collect reply with the request's ID (worker → coordinator).
 	msgCache = "cache"
+	// msgCollect asks for a worker's own verdicts (coordinator → worker).
+	msgCollect = "collect"
 	// msgShutdown asks the worker to exit cleanly (coordinator → worker).
 	msgShutdown = "shutdown"
 )
@@ -79,8 +82,8 @@ type message struct {
 	Campaign string `json:"campaign,omitempty"` // campaign.Version
 	Solver   string `json:"solver,omitempty"`   // solver.Version
 
-	// job / report / progress / done routing. IDs start at 1 so a zero ID
-	// always means "malformed".
+	// job / report / progress / done / collect routing. IDs start at 1 so a
+	// zero ID always means "malformed".
 	ID int `json:"id,omitempty"`
 
 	// job assignment
@@ -96,7 +99,7 @@ type message struct {
 	Report *campaign.Report      `json:"report,omitempty"`
 	Run    *campaign.RunManifest `json:"run,omitempty"`
 
-	// cache delta
+	// cache seed or collect reply
 	Entries []solver.CacheEntry `json:"entries,omitempty"`
 }
 

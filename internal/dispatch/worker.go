@@ -22,9 +22,9 @@ import (
 // WorkerConfig configures one Serve loop.
 type WorkerConfig struct {
 	// Solver is the worker's verdict-cache-bearing solver; nil means
-	// solver.Default(). Deltas received from the coordinator merge into it
-	// (marked for first-use re-verification), and verdicts it learns are
-	// shipped back after every job.
+	// solver.Default(). The coordinator's seed merges into it (marked for
+	// first-use re-verification); the verdicts it computes itself go back
+	// only on a collect request.
 	Solver *solver.Solver
 
 	// CrashJob and CrashOnce are the crash-recovery fault injection used by
@@ -47,8 +47,8 @@ type WorkerConfig struct {
 // the coordinator sends shutdown or closes the pipe. It returns nil on a
 // clean shutdown or EOF and an error on a malformed stream. Jobs execute
 // one at a time — the coordinator's per-worker parallelism grant governs
-// intra-job concurrency — while the pipe is drained concurrently, so cache
-// broadcasts are merged (and a dead coordinator noticed) mid-job.
+// intra-job concurrency — while the pipe is drained concurrently, so a
+// collect request is answered (and a dead coordinator noticed) mid-job.
 func Serve(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 	sol := cfg.Solver
 	if sol == nil {
@@ -59,18 +59,19 @@ func Serve(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 		exit = os.Exit
 	}
 	w := &workerState{
-		wire: newWire(in, out),
-		sol:  sol,
-		sent: map[string]bool{},
+		wire:   newWire(in, out),
+		sol:    sol,
+		seeded: map[string]bool{},
 	}
 	if err := w.send(helloMessage()); err != nil {
 		return fmt.Errorf("dispatch: worker hello: %w", err)
 	}
 
-	// The reader goroutine owns stdin: jobs flow to the execution loop,
-	// cache deltas merge immediately (the solver is concurrency-safe), and
-	// EOF/shutdown cancels the context so an in-flight exploration stops
-	// instead of orphaning a full-speed analysis under a dead coordinator.
+	// The reader goroutine owns stdin: jobs flow to the execution loop, the
+	// seed and collect requests are handled here (the solver is
+	// concurrency-safe), and EOF/shutdown cancels the context so an in-flight
+	// exploration stops instead of orphaning a full-speed analysis under a
+	// dead coordinator.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	jobs := make(chan message)
@@ -94,7 +95,9 @@ func Serve(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 					return
 				}
 			case msgCache:
-				w.mergeDelta(m.Entries)
+				w.seed(m.Entries)
+			case msgCollect:
+				w.send(message{Type: msgCache, ID: m.ID, Entries: w.learned()})
 			case msgShutdown:
 				return
 			default:
@@ -142,10 +145,9 @@ type workerState struct {
 	wire *wire
 	sol  *solver.Solver
 
-	wmu sync.Mutex // serialises writes: job results vs progress callbacks
+	wmu sync.Mutex // serialises writes: job results, progress, collect replies
 
-	smu  sync.Mutex      // guards sent
-	sent map[string]bool // cache keys already shipped or received
+	seeded map[string]bool // keys the coordinator sent; reader goroutine only
 }
 
 func (w *workerState) send(m message) error {
@@ -154,46 +156,36 @@ func (w *workerState) send(m message) error {
 	return w.wire.write(m)
 }
 
-// mergeDelta folds a coordinator broadcast into the local solver. Received
-// keys count as "sent": echoing them back would cost bandwidth for entries
-// the coordinator already has.
-func (w *workerState) mergeDelta(entries []solver.CacheEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	w.smu.Lock()
+// seed folds the coordinator's cache into the local solver and remembers
+// its keys, so collect replies carry only what this worker computed.
+func (w *workerState) seed(entries []solver.CacheEntry) {
 	for _, e := range entries {
-		w.sent[e.Key] = true
+		w.seeded[e.Key] = true
 	}
-	w.smu.Unlock()
 	// Invalid entries reject the batch; a coordinator speaking this proto
-	// never produces them, and a worker must not die over a bad delta.
+	// never produces them, and a worker must not die over a bad seed.
 	w.sol.ImportCache(entries)
 }
 
-// delta returns the verdicts learned since the last call.
-func (w *workerState) delta() []solver.CacheEntry {
+// learned returns the verdicts this worker computed itself: its cache minus
+// the seed.
+func (w *workerState) learned() []solver.CacheEntry {
 	all, err := w.sol.ExportCache()
 	if err != nil {
 		return nil
 	}
-	w.smu.Lock()
-	defer w.smu.Unlock()
-	var fresh []solver.CacheEntry
+	own := all[:0]
 	for _, e := range all {
-		if !w.sent[e.Key] {
-			w.sent[e.Key] = true
-			fresh = append(fresh, e)
+		if !w.seeded[e.Key] {
+			own = append(own, e)
 		}
 	}
-	return fresh
+	return own
 }
 
 // runJob executes one assignment and streams the outcome: progress ticks
-// while exploring, then the learned cache delta, the canonical report
-// stream, and the completion manifest. The delta goes first so the
-// coordinator can warm the rest of the fleet before it even finishes
-// persisting this job's reports.
+// while exploring, then the canonical report stream and the completion
+// manifest.
 func (w *workerState) runJob(ctx context.Context, id int, j campaign.Job, parallelism int) {
 	var classes atomic.Int64
 	obs := core.Observer{
@@ -204,9 +196,6 @@ func (w *workerState) runJob(ctx context.Context, id int, j campaign.Job, parall
 		},
 	}
 	rm, reports := campaign.ExecuteJob(ctx, j, parallelism, w.sol, obs)
-	if d := w.delta(); len(d) > 0 {
-		w.send(message{Type: msgCache, Entries: d})
-	}
 	for i := range reports {
 		if err := w.send(message{Type: msgReport, ID: id, Report: &reports[i]}); err != nil {
 			return // pipe gone; the coordinator has already requeued us

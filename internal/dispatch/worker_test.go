@@ -47,8 +47,9 @@ func mustRead(t *testing.T, w *wire) message {
 }
 
 // TestServeProtocolExchange walks one full conversation: hello, a job
-// assignment streaming back cache/report/done, a bad-mode assignment failing
-// softly, and a clean shutdown.
+// assignment streaming back report/done and no cache traffic, a collect
+// answered with the verdicts the job computed, a bad-mode assignment
+// failing softly, and a clean shutdown.
 func TestServeProtocolExchange(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	w, _, errc := handDrivenWorker(t, WorkerConfig{Solver: solver.Default()})
@@ -61,7 +62,6 @@ func TestServeProtocolExchange(t *testing.T) {
 	}
 	var reports int
 	var done message
-	var sawCache bool
 	for done.Type == "" {
 		switch m := mustRead(t, w); m.Type {
 		case msgReport:
@@ -74,11 +74,6 @@ func TestServeProtocolExchange(t *testing.T) {
 				t.Fatalf("done for wrong assignment: %+v", m)
 			}
 			done = m
-		case msgCache:
-			if len(m.Entries) == 0 {
-				t.Fatal("empty cache delta")
-			}
-			sawCache = true
 		case msgProgress:
 			// Optional ticks; frequency is the engine's business.
 		default:
@@ -91,8 +86,13 @@ func TestServeProtocolExchange(t *testing.T) {
 	if done.Run.Classes != reports {
 		t.Fatalf("manifest says %d classes, worker streamed %d reports", done.Run.Classes, reports)
 	}
-	if !sawCache {
-		t.Fatal("worker learned verdicts but shipped no delta")
+
+	// The verdicts stay on the worker until asked for.
+	if err := w.write(message{Type: msgCollect, ID: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if m := mustRead(t, w); m.Type != msgCache || m.ID != 9 || len(m.Entries) == 0 {
+		t.Fatalf("want a non-empty cache reply to collect 9, got %+v", m)
 	}
 
 	// An unknown mode must fail the assignment, not the worker.
@@ -113,6 +113,74 @@ func TestServeProtocolExchange(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatalf("clean shutdown returned %v", err)
+	}
+}
+
+// TestServeAnswersCollectMidJob: the reader goroutine answers collect, so
+// a request sent while a job explores comes back before that job's done.
+func TestServeAnswersCollectMidJob(t *testing.T) {
+	testutil.CheckGoroutineLeak(t)
+	w, _, errc := handDrivenWorker(t, WorkerConfig{Solver: solver.Default()})
+	checkHello(mustRead(t, w))
+	// Pipe writes return once the worker has read them, and the reader
+	// hands a job over before it reads on: the collect arrives mid-job.
+	w.write(message{Type: msgJob, ID: 1, Target: "fsp", Mode: "optimized", Parallelism: 1})
+	w.write(message{Type: msgCollect, ID: 2})
+	answered := false
+	for {
+		m := mustRead(t, w)
+		if m.Type == msgCache && m.ID == 2 {
+			answered = true
+		}
+		if m.Type == msgDone {
+			if !answered {
+				t.Fatal("collect waited behind the job in flight")
+			}
+			break
+		}
+	}
+	w.write(message{Type: msgShutdown})
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeCollectExcludesSeed: a collect reply carries only what the
+// worker computed, never the coordinator's seed echoed back.
+func TestServeCollectExcludesSeed(t *testing.T) {
+	testutil.CheckGoroutineLeak(t)
+	j := campaign.Job{Target: "kv", Mode: core.ModeOptimized}
+	warm := solver.Default()
+	campaign.ExecuteJob(t.Context(), j, 1, warm, core.Observer{})
+	seed, err := warm.ExportCache()
+	if err != nil || len(seed) == 0 {
+		t.Fatalf("no seed to send: %d entries, %v", len(seed), err)
+	}
+	seeded := map[string]bool{}
+	for _, e := range seed {
+		seeded[e.Key] = true
+	}
+
+	w, _, errc := handDrivenWorker(t, WorkerConfig{Solver: solver.Default()})
+	checkHello(mustRead(t, w))
+	w.write(message{Type: msgCache, Entries: seed})
+	// kv-fixed shares queries with kv and adds its own.
+	w.write(message{Type: msgJob, ID: 1, Target: "kv-fixed", Mode: "optimized", Parallelism: 1})
+	for m := mustRead(t, w); m.Type != msgDone; m = mustRead(t, w) {
+	}
+	w.write(message{Type: msgCollect, ID: 2})
+	m := mustRead(t, w)
+	if m.Type != msgCache || m.ID != 2 || len(m.Entries) == 0 {
+		t.Fatalf("want a non-empty cache reply to collect 2, got %+v", m)
+	}
+	for _, e := range m.Entries {
+		if seeded[e.Key] {
+			t.Fatalf("collect reply echoed seeded verdict %q", e.Key)
+		}
+	}
+	w.write(message{Type: msgShutdown})
+	if err := <-errc; err != nil {
+		t.Fatal(err)
 	}
 }
 

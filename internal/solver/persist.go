@@ -5,9 +5,9 @@ package solver
 // entry key, so any process that re-issues a structurally identical query —
 // across targets, runs and days — replays the verdict instead of re-solving
 // it. The same CacheEntry encoding travels over the distributed campaign's
-// wire protocol (internal/dispatch): workers ship newly learned verdicts
-// back to the coordinator as deltas, and the coordinator rebroadcasts them,
-// so a verdict proved anywhere in the fleet is reused everywhere.
+// wire protocol (internal/dispatch): the coordinator seeds every worker with
+// its cache, and collects the verdicts the workers computed when a caller
+// persists the cache.
 //
 // The file is defensive in both directions:
 //
@@ -24,7 +24,7 @@ package solver
 //     re-verified on first use (see Solver.Check — Sat models re-evaluated
 //     against the live query, a sampled subset of Unsat/Unknown verdicts
 //     re-solved), so a corrupt or hand-edited file cannot inject verdicts
-//     into an analysis. Imported delta entries get the same treatment.
+//     into an analysis. Imported entries get the same treatment.
 
 import (
 	"bufio"
@@ -57,8 +57,8 @@ type cacheHeader struct {
 }
 
 // CacheEntry is one verdict in wire form — the JSONL line layout shared by
-// cache files (SaveCache/LoadCache) and the distributed campaign's
-// cache-delta exchange (ExportCache/ImportCache over internal/dispatch).
+// cache files (SaveCache/LoadCache) and the distributed campaign's cache
+// seed and collect (ExportCache/ImportCache over internal/dispatch).
 // The key is the canonical query rendering (not a hash), so an entry can
 // never alias a different formula — the same soundness argument as the
 // in-memory cache.
@@ -94,7 +94,7 @@ func (s *Solver) ExportCache() ([]CacheEntry, error) {
 // is checked first, and one malformed entry (empty key, out-of-range
 // verdict) rejects the whole batch with zero entries merged. Accepted
 // entries are marked loaded — re-verified on first use exactly like entries
-// from a cache file, because a delta that crossed a process boundary is no
+// from a cache file, because an entry that crossed a process boundary is no
 // more trustworthy than one that crossed a filesystem. Imported entries
 // never displace verdicts the live process has already computed, and
 // entries beyond a shard's capacity are dropped rather than evicting

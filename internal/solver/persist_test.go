@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,6 +164,40 @@ func TestLoadedSatModelReverified(t *testing.T) {
 	}
 	if st := s.Stats(); st.ReverifyFailed != 1 {
 		t.Errorf("poisoned model not counted: %+v", st)
+	}
+}
+
+// TestLoadedSatModelWithDisjunctOnlyVariable: a solver model omits variables
+// that occur only in a disjunct the search never chose. Re-verifying such a
+// faithful loaded verdict must bind them rather than fail on an unbound
+// variable, and the hit must serve the stored model unchanged.
+func TestLoadedSatModelWithDisjunctOnlyVariable(t *testing.T) {
+	x, y := v("x"), v("y")
+	// Propagation on x refutes the first disjunct, so y is never assigned;
+	// evaluating the disjunction still reaches y first.
+	query := []*expr.Expr{expr.Gt(x, c(5)), expr.Or(expr.And(expr.Gt(y, c(100)), expr.Lt(x, c(3))), expr.Lt(x, c(8)))}
+	warm := Default()
+	res, model := warm.Check(query)
+	if res != Sat {
+		t.Fatalf("query not sat: %v", res)
+	}
+	if _, ok := model["y"]; ok {
+		t.Fatalf("model %v binds the disjunct-only variable; the case needs one it omits", model)
+	}
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	if err := warm.SaveCache(path); err != nil {
+		t.Fatal(err)
+	}
+	cold := Default()
+	if _, err := cold.LoadCache(path); err != nil {
+		t.Fatal(err)
+	}
+	res, got := cold.Check(query)
+	if res != Sat || !maps.Equal(got, model) {
+		t.Fatalf("loaded hit served %v %v, want the stored Sat model %v", res, got, model)
+	}
+	if st := cold.Stats(); st.ReverifyFailed != 0 || st.Reverified != 1 || st.CacheHits != 1 {
+		t.Fatalf("faithful loaded verdict not trusted: %+v", st)
 	}
 }
 

@@ -36,6 +36,7 @@ package solver
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"achilles/internal/expr"
@@ -325,8 +326,23 @@ const reverifySample = 16
 func (s *Solver) trustLoaded(key string, ent verdict, constraints []*expr.Expr) bool {
 	switch ent.res {
 	case Sat:
+		// Models omit variables that occur only in a disjunct the search
+		// never chose. Binding those to 0 evaluates the live query under a
+		// total assignment, which is as sound a witness as the stored model;
+		// the stored model is still what the hit serves.
+		env := expr.Env{}
+		maps.Copy(env, ent.model)
+		vars := map[string]bool{}
 		for _, c := range constraints {
-			v, err := expr.EvalBool(c, ent.model)
+			expr.CollectVars(c, vars)
+		}
+		for name := range vars {
+			if _, ok := env[name]; !ok {
+				env[name] = 0
+			}
+		}
+		for _, c := range constraints {
+			v, err := expr.EvalBool(c, env)
 			if err != nil || !v {
 				return false
 			}
