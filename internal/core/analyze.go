@@ -233,6 +233,7 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 		stop:      stop,
 		observing: opts.Observer.OnProgress != nil || opts.Observer.OnTrojan != nil,
 	}
+	stopProgress := func() {}
 	if opts.Observer.OnProgress != nil {
 		progDone := make(chan struct{})
 		progExited := make(chan struct{})
@@ -242,10 +243,11 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 		}()
 		// Synchronous shutdown: no OnProgress callback may outlive this
 		// function — callers (sessions) close their event sinks right after.
-		defer func() {
+		stopProgress = sync.OnceFunc(func() {
 			close(progDone)
 			<-progExited
-		}()
+		})
+		defer stopProgress()
 	}
 	execOpts := opts.Exec
 	execOpts.Solver = a.sol
@@ -303,7 +305,10 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 	a.res.Duration = time.Since(a.start)
 	a.res.SolverStats = a.sol.Stats()
 	if opts.Observer.OnProgress != nil {
-		a.emitProgress() // final snapshot with the completed counters
+		// Final snapshot with the completed counters. The loop stops first,
+		// so a tick that read the counters mid-run cannot land after it.
+		stopProgress()
+		a.emitProgress()
 	}
 	// Only the caller's cancellation is an error; the internal first-trojan
 	// stop is a successful early exit (the Truncated flag still records that
@@ -694,7 +699,10 @@ func (a *analysis) stateWorld(model expr.Env) expr.Env {
 }
 
 // verifyNotClient checks that no client path predicate admits the concrete
-// message within the concrete state world.
+// message within the concrete state world. A path whose member predicates
+// already rule the message out (refutedAt) is skipped; every other path is
+// decided by the solver. Refuted checks never reach the verdict cache: their
+// keys embed a fresh concrete message and would rarely be asked again.
 func (a *analysis) verifyNotClient(msg []int64, stateEnv expr.Env) bool {
 	var eqs []*expr.Expr
 	for f := range msg {
@@ -703,7 +711,11 @@ func (a *analysis) verifyNotClient(msg []int64, stateEnv expr.Env) bool {
 	for name, v := range stateEnv {
 		eqs = append(eqs, expr.Eq(expr.Var(name), expr.Const(v)))
 	}
-	for _, cp := range a.pc.Paths {
+	env := expr.Env{}
+	for i, cp := range a.pc.Paths {
+		if a.pc.refutedAt(i, msg, env) {
+			continue
+		}
 		q := make([]*expr.Expr, 0, len(cp.bind)+len(eqs))
 		q = append(q, cp.bind...)
 		q = append(q, eqs...)

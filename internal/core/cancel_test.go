@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"achilles/internal/expr"
 	"achilles/internal/lang"
+	"achilles/internal/solver"
 	"achilles/internal/testutil"
 )
 
@@ -218,5 +220,26 @@ func TestObserverStreaming(t *testing.T) {
 	}
 	if p.StatesExplored == 0 || p.FrontierDepth == 0 {
 		t.Fatalf("final progress has empty counters: %+v", *p)
+	}
+}
+
+// TestPreprocessCancelled: a cancellation that lands before the per-path
+// preprocessing leaves a half-built predicate rather than a panic. The
+// differentFrom matrix stays TriUnknown, and the §4 guard has no member
+// predicates to refute with, so every path would go to the solver.
+func TestPreprocessCancelled(t *testing.T) {
+	tgt := deepTarget(t)
+	pc, err := ExtractClientPredicate(tgt.Clients, ExtractOptions{SkipPreprocess: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pc.PreprocessParallelCtx(ctx, solver.Default(), 2)
+	if got := pc.DifferentFrom(0, 0, 0); got != TriUnknown {
+		t.Fatalf("differentFrom[0][0][0] = %v after a cancelled preprocess, want TriUnknown", got)
+	}
+	if pc.refutedAt(0, make([]int64, pc.NumFields), expr.Env{}) {
+		t.Fatal("a cancelled preprocess left member predicates that refute a path")
 	}
 }

@@ -1,0 +1,21 @@
+package core
+
+import (
+	"context"
+
+	"achilles/internal/expr"
+	"achilles/internal/solver"
+)
+
+// RefutedAt exposes the §4 guard's concrete refutation step: whether client
+// path i's member predicates rule msg out without a solver query.
+func RefutedAt(pc *ClientPredicate, i int, msg []int64) bool {
+	return pc.refutedAt(i, msg, expr.Env{})
+}
+
+// VerifyNotClient runs the whole §4 guard on one concrete message in one
+// state world: the refutation step, then the solver for every path it leaves.
+func VerifyNotClient(pc *ClientPredicate, s *solver.Solver, msg []int64, stateEnv expr.Env) bool {
+	a := &analysis{pc: pc, sol: s, runCtx: context.Background()}
+	return a.verifyNotClient(msg, stateEnv)
+}

@@ -118,6 +118,12 @@ type ClientPredicate struct {
 	// field f that path j cannot; TriNo when provably not (field-f values
 	// of i are a subset of j's); TriUnknown otherwise.
 	differentFrom [][][]Tri
+	// members[i][f] is path i's value-set predicate for field f over
+	// memberVar: true exactly at the values path i can place in field f.
+	// Nil when the field is masked or not simple. The differentFrom matrix
+	// is built from them, and the §4 guard evaluates them at a concrete
+	// message to rule client paths out without a solver query.
+	members [][]*expr.Expr
 
 	// Masked fields are hidden from the analysis (§5.2): no negation
 	// disjuncts are built for them.
@@ -641,6 +647,31 @@ func (pc *ClientPredicate) exprFieldNegation(cp *ClientPath, f int, e *expr.Expr
 	return expr.And(eq, expr.RenameVars(neg, ren))
 }
 
+// memberVar is the free variable of the member predicates.
+const memberVar = "df_v"
+
+// refutedAt reports that client path i cannot generate msg: one of its
+// member predicates evaluates false at the message's value for that field.
+// This is exact: a model of bind_i ∧ m == msg gives field f's client input
+// the value msg[f] and satisfies the constraints members[i][f] encodes, so a
+// false member leaves no model. An evaluation error refutes nothing. env is
+// scratch space the caller reuses across paths.
+func (pc *ClientPredicate) refutedAt(i int, msg []int64, env expr.Env) bool {
+	if i >= len(pc.members) {
+		return false // preprocessing skipped or cancelled: no members
+	}
+	for f, m := range pc.members[i] {
+		if m == nil {
+			continue
+		}
+		env[memberVar] = msg[f]
+		if ok, err := expr.EvalBool(m, env); err == nil && !ok {
+			return true
+		}
+	}
+	return false
+}
+
 // fieldValueMember returns a membership predicate for "v is a possible value
 // of field f in path cp", valid only for simple fields.
 func (cp *ClientPath) fieldValueMember(f int, v *expr.Expr) *expr.Expr {
@@ -670,7 +701,12 @@ func (pc *ClientPredicate) buildDifferentFrom(ctx context.Context, s *solver.Sol
 			pc.differentFrom[i][j] = make([]Tri, pc.NumFields)
 		}
 	}
-	v := expr.Var("df_v")
+	if ctx.Err() != nil {
+		// The per-path work stopped early, so field classes may be missing;
+		// the whole matrix stays TriUnknown and no member predicates exist.
+		return
+	}
+	v := expr.Var(memberVar)
 	// Canonical member predicates per (path, field), nil when not simple.
 	members := make([][]*expr.Expr, n)
 	keys := make([][]string, n)
@@ -686,6 +722,7 @@ func (pc *ClientPredicate) buildDifferentFrom(ctx context.Context, s *solver.Sol
 			keys[i][f] = m.String()
 		}
 	}
+	pc.members = members
 	memo := map[[2]string]Tri{}
 	for i := range pc.Paths {
 		if ctx.Err() != nil {
