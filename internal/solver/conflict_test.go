@@ -103,3 +103,19 @@ func TestNoFalseConflicts(t *testing.T) {
 		expr.Ge(x, c(0)), expr.Le(x, c(3)), expr.Ge(y, c(0)), expr.Le(y, c(3)),
 	})
 }
+
+// TestLinearConflictSlowPathNoAlloc pins that the per-combination groups of
+// linearConflict's slow path live on the stack: two atoms over one
+// combination, with no conflict between them, must not allocate.
+func TestLinearConflictSlowPathNoAlloc(t *testing.T) {
+	x, y := v("x"), v("y")
+	le, _ := linearise(expr.Le(expr.Sub(x, y), c(3)))
+	ge, _ := linearise(expr.Ge(expr.Sub(x, y), c(-3)))
+	atoms := []*linAtom{le, ge}
+	if linearConflict(atoms) {
+		t.Fatalf("false conflict on %v", atoms)
+	}
+	if n := testing.AllocsPerRun(100, func() { linearConflict(atoms) }); n != 0 {
+		t.Fatalf("linearConflict allocates %v times per call on a shared combination, want 0", n)
+	}
+}

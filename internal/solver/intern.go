@@ -8,7 +8,7 @@ package solver
 //     persisted-cache key format is unchanged, it is now assembled from
 //     cached strings instead of re-rendered trees);
 //   - the linearisation (linAtom or "outside the fragment");
-//   - the sorted variable list (the unit of conjState.varOrder).
+//   - the sorted variable list (the unit of conjState's variable table).
 //
 // Entries also carry a stable per-solver ID. IDs order by first-intern time,
 // which is scheduling-dependent under concurrent analysis workers — they are
@@ -29,6 +29,8 @@ package solver
 // key can change.
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -150,31 +152,33 @@ func (s *Solver) internAll(constraints []*expr.Expr) []*internEntry {
 	return out
 }
 
-// mergeVars returns the sorted union of the entries' variable names — the
-// same list expr.VarsOf computes by walking the trees, assembled from the
-// cached per-entry sorted lists instead.
-func mergeVars(entries []*internEntry) []string {
-	// k-way merge over already-sorted lists; duplicates are dropped as they
-	// surface. The lists are tiny (message fields + a few locals), so a
-	// linear scan for the minimum beats heap bookkeeping.
-	idx := make([]int, len(entries))
-	var out []string
-	for {
-		best := ""
-		found := false
-		for i, en := range entries {
-			for idx[i] < len(en.vars) && len(out) > 0 && en.vars[idx[i]] == out[len(out)-1] {
-				idx[i]++
-			}
-			if idx[i] < len(en.vars) {
-				if !found || en.vars[idx[i]] < best {
-					best, found = en.vars[idx[i]], true
-				}
+// mergeVars returns the sorted union of base (sorted, duplicate-free) and the
+// entries' variable names — the same list expr.VarsOf computes by walking the
+// trees, assembled from the cached per-entry sorted lists instead. When the
+// entries name nothing outside base, base itself is returned: variable
+// tables are read-only, so a query over its prefix's variables shares the
+// prefix's table.
+func mergeVars(base []string, entries []*internEntry) []string {
+	var added []string
+	for _, en := range entries {
+		for _, v := range en.vars {
+			if i := sort.SearchStrings(base, v); (i == len(base) || base[i] != v) && !slices.Contains(added, v) {
+				added = append(added, v)
 			}
 		}
-		if !found {
-			return out
-		}
-		out = append(out, best)
 	}
+	if len(added) == 0 {
+		return base
+	}
+	slices.Sort(added)
+	out := make([]string, 0, len(base)+len(added))
+	i := 0
+	for _, v := range added {
+		for i < len(base) && base[i] < v {
+			out = append(out, base[i])
+			i++
+		}
+		out = append(out, v)
+	}
+	return append(out, base[i:]...)
 }

@@ -201,12 +201,15 @@ scan:
 }
 
 // combGroup accumulates the atoms of one canonical combination S and detects
-// contradictions among them. The zero value is ready to use.
+// contradictions among them. The zero value is ready to use. It holds no
+// pointer into itself, so a group stays on linearConflict's stack: the first
+// four disequality constants sit in a fixed array and only a fifth spills.
+// Equalities need no list at all: a second equality with another constant is
+// already a conflict, so every equality seen has the constant eqC.
 type combGroup struct {
-	eqBuf  [4]int64
-	neBuf  [4]int64
-	eqs    []int64 // S + c == 0 seen
-	nes    []int64 // S + c != 0 seen
+	neBuf  [4]int64 // S + c != 0 seen, the first nne of them
+	nne    int
+	neMore []int64 // disequality constants beyond the fourth
 	leMin  int64   // tightest S <= -c  =>  upper bound of S
 	hasLe  bool
 	geMax  int64 // from negated-orientation Le: lower bound of S
@@ -230,17 +233,13 @@ func (g *combGroup) add(a *linAtom) bool {
 	c := a.orientedC(a.cneg)
 	switch a.op {
 	case opEq:
-		if containsI64(g.nes, c) {
+		if containsI64(g.neBuf[:g.nne], c) || containsI64(g.neMore, c) {
 			return true
 		}
 		if g.eqOnce && g.eqC != c {
 			return true
 		}
 		g.eqOnce, g.eqC = true, c
-		if g.eqs == nil {
-			g.eqs = g.eqBuf[:0]
-		}
-		g.eqs = append(g.eqs, c)
 		if g.hasLe && satNeg(c) > g.leMin {
 			return true
 		}
@@ -248,13 +247,15 @@ func (g *combGroup) add(a *linAtom) bool {
 			return true
 		}
 	case opNe:
-		if containsI64(g.eqs, c) {
+		if g.eqOnce && g.eqC == c {
 			return true
 		}
-		if g.nes == nil {
-			g.nes = g.neBuf[:0]
+		if g.nne < len(g.neBuf) {
+			g.neBuf[g.nne] = c
+			g.nne++
+		} else {
+			g.neMore = append(g.neMore, c)
 		}
-		g.nes = append(g.nes, c)
 	case opLe:
 		// Stored: Σ coeff·x + a.c <= 0. In canonical orientation S:
 		// if not negated: S <= -c (upper bound); else the orientation flip

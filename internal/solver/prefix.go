@@ -19,9 +19,10 @@ package solver
 //     The one caveat is the bounded round count in propagate: a run that
 //     hits the round cap can stop above the fixpoint, and the seeded run
 //     may then be strictly tighter. The cap exists only as a termination
-//     backstop for adversarial narrowing chains; the golden-corpus,
-//     -j equivalence and mutation-recall suites gate that it never binds on
-//     real workloads;
+//     backstop for adversarial narrowing chains. Stats.RoundCaps counts
+//     the runs it stops, and TestAuditsNeverHitPropagationRoundCap
+//     (internal/campaign) holds that count at 0 on the fleet in all three
+//     modes and on the rich FSP corpus;
 //   - the interned-ID set of the conjunctive atoms, which gives the engine
 //     an O(1) syntactic subsumption check (Implies) for frontier branching.
 //
@@ -65,11 +66,21 @@ type Prefix struct {
 	conj    []*internEntry  // flattened conjunctive atoms
 	disj    []*internEntry  // flattened disjunctions
 	ids     map[uint64]bool // interned IDs of conj, for Implies
-	domains map[string]interval
+	seed    *fixpoint       // propagation fixpoint of conj; nil when absent
 	// refuted marks a prefix containing a literal false constraint; the
 	// domain seed is absent then and every check answers Unsat, exactly as
 	// flattening the full constraint slice would.
 	refuted bool
+}
+
+// fixpoint is the propagation fixpoint of a prefix's n conjunctive atoms:
+// their sorted variable table and one domain per slot, as conjState lays
+// them out. Every query built on the prefix starts with those n atoms, so its
+// own table is this one plus the names its extra atoms add.
+type fixpoint struct {
+	vars []string
+	dom  []interval
+	n    int
 }
 
 // NewPrefix returns the empty path prefix.
@@ -106,19 +117,11 @@ func (p *Prefix) Extend(cond *expr.Expr) *Prefix {
 		// conjunction leaves the seed absent — the per-query solve will
 		// rediscover the refutation through the learned index at its usual
 		// (budget-free) cost.
-		cs := s.newConjState(np.conj, p.domains)
-		if !linearConflict(cs.atoms) && s.propagate(cs) {
-			// cs.domains holds only this round's narrowings (reads fall
-			// through to the seed); the stored fixpoint must be the full
-			// overlay so it can seed future solves on its own.
-			merged := make(map[string]interval, len(p.domains)+len(cs.domains))
-			for k, v := range p.domains {
-				merged[k] = v
-			}
-			for k, v := range cs.domains {
-				merged[k] = v
-			}
-			np.domains = merged
+		cs := s.newConjState(np.conj, p.seed)
+		if !linearConflict(cs.atoms) && s.propagate(&cs) {
+			// cs is discarded, so its dense domains become the stored
+			// fixpoint as they are.
+			np.seed = &fixpoint{vars: cs.vars, dom: cs.dom, n: len(np.conj)}
 		}
 	}
 	return np
@@ -211,7 +214,7 @@ func (s *Solver) CheckPrefixAllCtx(ctx context.Context, p *Prefix, conds []*expr
 				fq.refuted = true
 			}
 		}
-		return s.check(ctx, fq, p.domains)
+		return s.check(ctx, fq, p.seed)
 	})
 }
 
@@ -249,6 +252,6 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, cond *expr.Expr)
 		if !fq.refuted && !s.flattenInto(cond, &fq.conj, &fq.disj) {
 			fq.refuted = true
 		}
-		return s.check(ctx, fq, p.domains)
+		return s.check(ctx, fq, p.seed)
 	})
 }

@@ -15,8 +15,10 @@ package solver
 // The interval arithmetic (propagate, propagateAtom, search, finish) is
 // shared with the fast path deliberately: the differential target is the
 // fast-path machinery layered on top of it — interning, clause learning,
-// split-gate memoisation, cache keys, prefix seeding — not the arithmetic,
-// which the solver's own unit suites pin directly.
+// split-gate memoisation, cache keys, prefix seeding — not the arithmetic.
+// A change to the shared kernel moves both sides at once, so this suite
+// cannot see it; TestKernelFingerprint (kernel_test.go) pins the kernel's
+// verdicts, models and work counters instead.
 //
 // This file is frozen on purpose. Performance work belongs in the fast path;
 // "improving" the reference in lockstep with the solver would erase the
@@ -73,19 +75,18 @@ func refFlatten(e *expr.Expr, conj, disj *[]*expr.Expr) bool {
 }
 
 // refConjState builds the conjunction search state from raw expressions:
-// fresh linearisations, fresh variable order — nothing interned.
+// fresh linearisations, a fresh variable table — nothing interned, no seed.
 func refConjState(conj []*expr.Expr) *conjState {
 	cs := &conjState{
-		domains:  make(map[string]interval, 8),
-		assigned: expr.Env{},
-		orig:     conj,
-		varOrder: expr.VarsOf(conj),
+		orig: conj,
+		vars: expr.VarsOf(conj),
 	}
 	for _, e := range conj {
 		if la, ok := linearise(e); ok {
 			cs.atoms = append(cs.atoms, la)
 		} else {
 			cs.nonlin = append(cs.nonlin, e)
+			cs.nonlinVars = append(cs.nonlinVars, expr.Vars(e))
 		}
 	}
 	return cs

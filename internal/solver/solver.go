@@ -37,6 +37,8 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
+	"sort"
 	"sync/atomic"
 
 	"achilles/internal/expr"
@@ -112,6 +114,11 @@ type Stats struct {
 	LearnedHits  int
 	FeasibleHits int
 	MemoResets   int
+
+	// RoundCaps counts propagation runs stopped by the round cap before
+	// reaching their fixpoint (see propagate; prefix.go explains why the
+	// cap must not bind on real workloads).
+	RoundCaps int
 }
 
 // counters is the internal, concurrency-safe representation of Stats.
@@ -128,6 +135,7 @@ type counters struct {
 	reverifyFailed atomic.Int64
 	learnedHits    atomic.Int64
 	feasibleHits   atomic.Int64
+	roundCaps      atomic.Int64
 }
 
 // Options configure a Solver.
@@ -206,6 +214,7 @@ func (s *Solver) Stats() Stats {
 		LearnedHits:  int(s.stats.learnedHits.Load()),
 		FeasibleHits: int(s.stats.feasibleHits.Load()),
 		MemoResets:   int(s.arena.resets.Load()),
+		RoundCaps:    int(s.stats.roundCaps.Load()),
 	}
 }
 
@@ -223,6 +232,7 @@ func (s *Solver) ResetStats() {
 	s.stats.reverifyFailed.Store(0)
 	s.stats.learnedHits.Store(0)
 	s.stats.feasibleHits.Store(0)
+	s.stats.roundCaps.Store(0)
 	s.arena.resets.Store(0)
 }
 
@@ -378,9 +388,9 @@ func flattenQuery(s *Solver, entries []*internEntry) flatQuery {
 }
 
 // check solves one flattened query without consulting the cache. seed, when
-// non-nil, is a sound domain pre-narrowing for a subset of the conjunction
-// (see Prefix) — propagation starts from it instead of full domains.
-func (s *Solver) check(ctx context.Context, fq flatQuery, seed map[string]interval) (Result, expr.Env) {
+// non-nil, is the propagation fixpoint of the query's leading atoms (see
+// Prefix) — propagation starts from it instead of full domains.
+func (s *Solver) check(ctx context.Context, fq flatQuery, seed *fixpoint) (Result, expr.Env) {
 	if fq.refuted {
 		return Unsat, nil
 	}
@@ -427,10 +437,10 @@ func disjuncts(e *expr.Expr, out *[]*expr.Expr) {
 
 // solve handles DPLL splitting over the disjunctions, then delegates pure
 // conjunctions to solveConj. A cancelled ctx aborts the split tree with
-// Unknown at the next node boundary. seed (possibly nil) is a sound domain
-// pre-narrowing for a subset of conj; it stays valid down the split tree
-// because branches only ever add atoms.
-func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, seed map[string]interval, budget *int) (Result, expr.Env) {
+// Unknown at the next node boundary. seed (possibly nil) is the propagation
+// fixpoint of conj's leading atoms; it stays valid down the split tree
+// because branches only ever append atoms.
+func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, seed *fixpoint, budget *int) (Result, expr.Env) {
 	if ctx.Err() != nil {
 		return Unknown, nil
 	}
@@ -535,78 +545,100 @@ func clamp(v int64) int64 {
 	return v
 }
 
-// conjState is the mutable state of a conjunction search. Domain reads are
-// layered: the assignment, then the narrowings written this solve (domains),
-// then the read-only seed (a prefix fixpoint), then the full interval — so a
-// fresh state costs nothing per variable and search clones copy only what
-// this solve actually narrowed. All reads must go through domainOf; a direct
-// domains[v] lookup would misread an untouched variable as the empty-ish
-// zero interval.
+// conjState is the mutable state of a conjunction search, laid out densely:
+// vars is the sorted variable table and a variable's index in it is its
+// slot, dom holds one domain per slot, and slots maps every atom's variables
+// to their slots once per state. An assignment is simply a point domain, so
+// a search child is one copied []interval rather than cloned maps.
+//
+// The layout (vars, dom, slots) is built by the first propagate, after the
+// learned index and linearConflict have had their turn: most refuted
+// conjunctions are refuted there, before any domain is read.
 type conjState struct {
-	entries  []*internEntry      // interned source atoms (for lazy varOrder)
-	atoms    []*linAtom          // linearised atoms
-	nonlin   []*expr.Expr        // atoms outside the linear fragment
-	domains  map[string]interval // narrowings made during this solve
-	seed     map[string]interval // read-only pre-narrowing (may be nil)
-	assigned expr.Env            // fixed variables
-	orig     []*expr.Expr        // original atoms for final verification
-	varOrder []string            // deterministic variable ordering, built lazily
+	entries    []*internEntry // interned source atoms (nil for the reference)
+	seed       *fixpoint      // prefix fixpoint the domains start from (may be nil)
+	atoms      []*linAtom     // linearised atoms
+	nonlin     []*expr.Expr   // atoms outside the linear fragment
+	nonlinVars [][]string     // sorted variable names of each nonlin atom
+	orig       []*expr.Expr   // original atoms for final verification (search only)
+
+	vars  []string   // sorted variable table; a variable's index is its slot
+	dom   []interval // one domain per slot; nil until layout
+	slots []int32    // slots of each atom's variables, atoms then nonlin, in order
+	free  []term     // propagateAtom's scratch, shared down the search
 }
 
-func (cs *conjState) clone() *conjState {
-	nd := make(map[string]interval, len(cs.domains))
-	for k, v := range cs.domains {
-		nd[k] = v
-	}
-	na := make(expr.Env, len(cs.assigned))
-	for k, v := range cs.assigned {
-		na[k] = v
-	}
-	return &conjState{
-		entries:  cs.entries, // immutable after build
-		atoms:    cs.atoms,
-		nonlin:   cs.nonlin,
-		domains:  nd,
-		seed:     cs.seed, // read-only, shared
-		assigned: na,
-		orig:     cs.orig,
-		varOrder: cs.varOrder,
-	}
+// term is a variable of a linear atom that is not yet pinned to a point.
+type term struct {
+	slot  int32
+	coeff int64
 }
 
 // newConjState assembles the conjunction search state from interned entries:
 // linearisations and variable lists come from the arena instead of being
-// recomputed. Domains resolve through the seed (a sound pre-narrowing from a
-// path prefix) and default to full — interval propagation is confluent, so
-// starting from the prefix fixpoint reaches the same final domains as
-// starting from the top (see prefix.go for the argument). varOrder is built
-// on demand (ensureVarOrder): the propagation-only callers — feasibleSeeded
-// at every split node, Prefix.Extend — never need it.
-func (s *Solver) newConjState(entries []*internEntry, seed map[string]interval) *conjState {
-	cs := &conjState{
-		entries:  entries,
-		domains:  make(map[string]interval, 8),
-		seed:     seed,
-		assigned: expr.Env{},
-		orig:     make([]*expr.Expr, len(entries)),
-	}
-	for i, en := range entries {
-		cs.orig[i] = en.e
+// recomputed. The dense layout is left to the first propagate: the
+// refutation layer in front of it needs only the atoms. The state is
+// returned by value so that it can live on the caller's stack.
+func (s *Solver) newConjState(entries []*internEntry, seed *fixpoint) conjState {
+	cs := conjState{entries: entries, seed: seed, atoms: make([]*linAtom, 0, len(entries))}
+	for _, en := range entries {
 		if en.la != nil {
 			cs.atoms = append(cs.atoms, en.la)
 		} else {
 			cs.nonlin = append(cs.nonlin, en.e)
+			cs.nonlinVars = append(cs.nonlinVars, en.vars)
 		}
 	}
 	return cs
 }
 
-// ensureVarOrder materialises the deterministic variable ordering; search
-// and finish need it, propagation does not.
-func (cs *conjState) ensureVarOrder() {
-	if cs.varOrder == nil {
-		cs.varOrder = mergeVars(cs.entries)
+// layout builds the dense state. Unless the reference set it up front, the
+// variable table is the seed's merged with the names the atoms after the
+// seed's first n add: a query always extends its prefix, so those n atoms
+// lead entries. Domains resolve through the seed and default to full —
+// interval propagation is confluent, so starting from the prefix fixpoint
+// reaches the same final domains as starting from the top (see prefix.go for
+// the argument).
+func (cs *conjState) layout() {
+	var seed fixpoint
+	if cs.seed != nil {
+		seed = *cs.seed
 	}
+	if cs.vars == nil {
+		cs.vars = mergeVars(seed.vars, cs.entries[seed.n:])
+	}
+	cs.dom = make([]interval, len(cs.vars))
+	j := 0
+	for i, v := range cs.vars {
+		if j < len(seed.vars) && seed.vars[j] == v {
+			cs.dom[i] = seed.dom[j]
+			j++
+		} else {
+			cs.dom[i] = interval{-satLimit, satLimit}
+		}
+	}
+	n := 0
+	for _, a := range cs.atoms {
+		n += len(a.vars)
+	}
+	for _, names := range cs.nonlinVars {
+		n += len(names)
+	}
+	cs.slots = make([]int32, 0, n)
+	for _, a := range cs.atoms {
+		cs.slots = appendSlots(cs.slots, cs.vars, a.vars)
+	}
+	for _, names := range cs.nonlinVars {
+		cs.slots = appendSlots(cs.slots, cs.vars, names)
+	}
+}
+
+// appendSlots appends the slot of each name in the sorted table vars.
+func appendSlots(slots []int32, vars, names []string) []int32 {
+	for _, v := range names {
+		slots = append(slots, int32(sort.SearchStrings(vars, v)))
+	}
+	return slots
 }
 
 // feasibleSeeded reports whether the budget-free refutation layer — the
@@ -615,7 +647,7 @@ func (cs *conjState) ensureVarOrder() {
 // cheap enough for every DPLL split node. Fresh refutations are recorded in
 // the learned index so the next conjunction over the same atom set answers
 // from memory.
-func (s *Solver) feasibleSeeded(conj []*internEntry, seed map[string]interval) bool {
+func (s *Solver) feasibleSeeded(conj []*internEntry, seed *fixpoint) bool {
 	key := conflictKey(conj)
 	if s.learned.has(key) {
 		s.stats.learnedHits.Add(1)
@@ -632,7 +664,7 @@ func (s *Solver) feasibleSeeded(conj []*internEntry, seed map[string]interval) b
 		return true
 	}
 	cs := s.newConjState(conj, seed)
-	if linearConflict(cs.atoms) || !s.propagate(cs) {
+	if linearConflict(cs.atoms) || !s.propagate(&cs) {
 		s.learned.add(key)
 		return false
 	}
@@ -644,87 +676,79 @@ func (s *Solver) feasibleSeeded(conj []*internEntry, seed map[string]interval) b
 // layer runs first (learned index, pairwise conflicts, propagation — all
 // recorded/served via the learned index); only then is the decision budget
 // spent on search.
-func (s *Solver) solveConj(ctx context.Context, conj []*internEntry, seed map[string]interval, budget *int) (Result, expr.Env) {
+func (s *Solver) solveConj(ctx context.Context, conj []*internEntry, seed *fixpoint, budget *int) (Result, expr.Env) {
 	key := conflictKey(conj)
 	if s.learned.has(key) {
 		s.stats.learnedHits.Add(1)
 		return Unsat, nil
 	}
 	cs := s.newConjState(conj, seed)
-	if linearConflict(cs.atoms) || !s.propagate(cs) {
+	if linearConflict(cs.atoms) || !s.propagate(&cs) {
 		s.learned.add(key)
 		return Unsat, nil
 	}
-	cs.ensureVarOrder()
-	return s.search(ctx, cs, budget)
+	cs.orig = make([]*expr.Expr, len(conj))
+	for i, en := range conj {
+		cs.orig[i] = en.e
+	}
+	return s.search(ctx, &cs, budget)
 }
 
-// propagate runs domain tightening to a fixpoint (bounded rounds). It
-// returns false when a domain became empty (conflict).
+// propagate runs domain tightening to a fixpoint, laying the state out on
+// first use. It returns false when a domain became empty (conflict). The
+// round cap is a termination backstop for adversarial narrowing chains; a
+// run it stops short of the fixpoint is counted in Stats.RoundCaps.
 func (s *Solver) propagate(cs *conjState) bool {
 	const maxRounds = 64
+	if cs.dom == nil {
+		cs.layout()
+	}
 	for round := 0; round < maxRounds; round++ {
 		changed := false
+		slots := cs.slots
 		for _, a := range cs.atoms {
-			ok, ch := s.propagateAtom(cs, a)
+			ok, ch := s.propagateAtom(cs, a, slots[:len(a.vars)])
 			if !ok {
 				return false
 			}
+			slots = slots[len(a.vars):]
 			changed = changed || ch
 		}
 		// Try to finish non-linear atoms that became concrete.
-		for _, nl := range cs.nonlin {
-			if v, err := expr.EvalBool(nl, fullEnvFor(nl, cs)); err == nil && !v {
+		for i, nl := range cs.nonlin {
+			n := len(cs.nonlinVars[i])
+			if v, err := expr.EvalBool(nl, cs.pointEnv(slots[:n])); err == nil && !v {
 				return false
 			}
+			slots = slots[n:]
 		}
 		if !changed {
 			return true
 		}
 	}
+	s.stats.roundCaps.Add(1)
 	return true
 }
 
-// fullEnvFor returns an environment covering nl's variables if every one of
-// them is pinned to a point domain; otherwise nil (EvalBool will error on the
-// unbound variable, which callers treat as "not decidable yet").
-func fullEnvFor(nl *expr.Expr, cs *conjState) expr.Env {
-	env := expr.Env{}
-	set := map[string]bool{}
-	expr.CollectVars(nl, set)
-	for v := range set {
-		if x, ok := cs.assigned[v]; ok {
-			env[v] = x
-			continue
-		}
-		d := cs.domainOf(v)
-		if !d.point() {
+// pointEnv binds the variables at slots if every one of them is pinned to a
+// point domain; otherwise it returns nil (EvalBool will error on the unbound
+// variable, which callers treat as "not decidable yet").
+func (cs *conjState) pointEnv(slots []int32) expr.Env {
+	for _, sl := range slots {
+		if !cs.dom[sl].point() {
 			return nil
 		}
-		env[v] = d.lo
+	}
+	env := make(expr.Env, len(slots))
+	for _, sl := range slots {
+		env[cs.vars[sl]] = cs.dom[sl].lo
 	}
 	return env
 }
 
-// domainOf returns the current interval of v, treating assignments as point
-// domains and resolving untouched variables through the seed layer down to
-// the full interval.
-func (cs *conjState) domainOf(v string) interval {
-	if x, ok := cs.assigned[v]; ok {
-		return interval{x, x}
-	}
-	if iv, ok := cs.domains[v]; ok {
-		return iv
-	}
-	if iv, ok := cs.seed[v]; ok {
-		return iv
-	}
-	return interval{-satLimit, satLimit}
-}
-
-// setDomain narrows the domain of v, reporting (ok, changed).
-func (cs *conjState) setDomain(v string, iv interval) (bool, bool) {
-	cur := cs.domainOf(v)
+// setDomain narrows the domain at slot sl, reporting (ok, changed).
+func (cs *conjState) setDomain(sl int32, iv interval) (bool, bool) {
+	cur := cs.dom[sl]
 	nlo, nhi := cur.lo, cur.hi
 	if iv.lo > nlo {
 		nlo = iv.lo
@@ -738,33 +762,25 @@ func (cs *conjState) setDomain(v string, iv interval) (bool, bool) {
 	if nlo == cur.lo && nhi == cur.hi {
 		return true, false
 	}
-	cs.domains[v] = interval{nlo, nhi}
+	cs.dom[sl] = interval{nlo, nhi}
 	return true, true
 }
 
-// propagateAtom tightens domains using one linear atom.
-// Atom form: sum(coeff_i * x_i) + c  OP  0 with OP in {<=, ==, !=}.
-func (s *Solver) propagateAtom(cs *conjState, a *linAtom) (ok, changed bool) {
+// propagateAtom tightens domains using one linear atom whose variables sit
+// at slots. Atom form: sum(coeff_i * x_i) + c  OP  0 with OP in {<=, ==, !=}.
+func (s *Solver) propagateAtom(cs *conjState, a *linAtom, slots []int32) (ok, changed bool) {
 	s.stats.propagations.Add(1)
-	// Partition into assigned and free, folding assigned values into c.
+	// Partition into pinned and free, folding pinned values into c.
 	c := a.c
-	type term struct {
-		v     string
-		coeff int64
-	}
-	var free []term
-	for i, v := range a.vars {
-		if x, okA := cs.assigned[v]; okA {
-			c = satAdd(c, satMul(a.coeffs[i], x))
-			continue
-		}
-		d := cs.domainOf(v)
-		if d.point() {
+	free := cs.free[:0]
+	for i, sl := range slots {
+		if d := cs.dom[sl]; d.point() {
 			c = satAdd(c, satMul(a.coeffs[i], d.lo))
 			continue
 		}
-		free = append(free, term{v, a.coeffs[i]})
+		free = append(free, term{sl, a.coeffs[i]})
 	}
+	cs.free = free
 	if len(free) == 0 {
 		switch a.op {
 		case opLe:
@@ -785,7 +801,7 @@ func (s *Solver) propagateAtom(cs *conjState, a *linAtom) (ok, changed bool) {
 			if j == skip {
 				continue
 			}
-			d := cs.domainOf(t.v)
+			d := cs.dom[t.slot]
 			p1, p2 := satMul(t.coeff, d.lo), satMul(t.coeff, d.hi)
 			if p1 > p2 {
 				p1, p2 = p2, p1
@@ -806,16 +822,16 @@ func (s *Solver) propagateAtom(cs *conjState, a *linAtom) (ok, changed bool) {
 			if free[0].coeff == -1 {
 				excl = c
 			}
-			d := cs.domainOf(free[0].v)
+			d := cs.dom[free[0].slot]
 			if d.point() && d.lo == excl {
 				return false, true
 			}
 			if d.lo == excl {
-				okSet, ch := cs.setDomain(free[0].v, interval{excl + 1, d.hi})
+				okSet, ch := cs.setDomain(free[0].slot, interval{excl + 1, d.hi})
 				return okSet, ch
 			}
 			if d.hi == excl {
-				okSet, ch := cs.setDomain(free[0].v, interval{d.lo, excl - 1})
+				okSet, ch := cs.setDomain(free[0].slot, interval{d.lo, excl - 1})
 				return okSet, ch
 			}
 		}
@@ -834,7 +850,7 @@ func (s *Solver) propagateAtom(cs *conjState, a *linAtom) (ok, changed bool) {
 			} else {
 				iv = interval{ceilDiv(bound, t.coeff), satLimit}
 			}
-			okSet, ch := cs.setDomain(t.v, iv)
+			okSet, ch := cs.setDomain(t.slot, iv)
 			if !okSet {
 				return false, true
 			}
@@ -860,7 +876,7 @@ func (s *Solver) propagateAtom(cs *conjState, a *linAtom) (ok, changed bool) {
 			} else {
 				iv = interval{ceilDiv(vHi, t.coeff), floorDiv(vLo, t.coeff)}
 			}
-			okSet, ch := cs.setDomain(t.v, iv)
+			okSet, ch := cs.setDomain(t.slot, iv)
 			if !okSet {
 				return false, true
 			}
@@ -900,42 +916,40 @@ func (s *Solver) search(ctx context.Context, cs *conjState, budget *int) (Result
 	if *budget <= 0 {
 		return Unknown, nil
 	}
-	// Choose the unassigned variable with the smallest domain.
-	bestVar := ""
+	// Choose the unassigned variable with the smallest domain; ties go to
+	// the lowest slot, which is the smallest name.
+	best := -1
 	var bestSize int64
-	for _, v := range cs.varOrder {
-		if _, done := cs.assigned[v]; done {
-			continue
-		}
-		d := cs.domainOf(v)
+	for i, d := range cs.dom {
 		if d.point() {
-			cs.assigned[v] = d.lo
 			continue
 		}
-		sz := d.size()
-		if bestVar == "" || sz < bestSize {
-			bestVar, bestSize = v, sz
+		if sz := d.size(); best < 0 || sz < bestSize {
+			best, bestSize = i, sz
 		}
 	}
-	if bestVar == "" {
+	if best < 0 {
 		return s.finish(cs)
 	}
-	d := cs.domainOf(bestVar)
+	// An enumerable domain is counted up from lo; a larger one tries the
+	// boundary heuristics only.
+	d := cs.dom[best]
+	n, exhaustive := bestSize, bestSize <= s.opts.MaxEnumDomain
+	var buf [15]int64
 	var candidates []int64
-	exhaustive := false
-	if bestSize <= s.opts.MaxEnumDomain {
-		exhaustive = true
-		for v := d.lo; v <= d.hi; v++ {
-			candidates = append(candidates, v)
-			if v == d.hi { // guard overflow when hi is MaxInt-ish
-				break
-			}
-		}
-	} else {
-		candidates = boundaryCandidates(d)
+	if !exhaustive {
+		candidates = boundaryCandidates(&buf, d)
+		n = int64(len(candidates))
 	}
+	// One child domain buffer per node, refilled for each candidate.
+	child := *cs
+	child.dom = make([]interval, len(cs.dom))
 	sawUnknown := !exhaustive
-	for _, v := range candidates {
+	for k := int64(0); k < n; k++ {
+		v := d.lo + k
+		if !exhaustive {
+			v = candidates[k]
+		}
 		if *budget <= 0 {
 			return Unknown, nil
 		}
@@ -944,13 +958,12 @@ func (s *Solver) search(ctx context.Context, cs *conjState, budget *int) (Result
 		}
 		*budget--
 		s.stats.decisions.Add(1)
-		child := cs.clone()
-		child.assigned[bestVar] = v
-		delete(child.domains, bestVar)
-		if !s.propagate(child) {
+		copy(child.dom, cs.dom)
+		child.dom[best] = interval{v, v}
+		if !s.propagate(&child) {
 			continue
 		}
-		res, model := s.search(ctx, child, budget)
+		res, model := s.search(ctx, &child, budget)
 		switch res {
 		case Sat:
 			return Sat, model
@@ -968,14 +981,13 @@ func (s *Solver) search(ctx context.Context, cs *conjState, budget *int) (Result
 // enumerate. Small magnitudes come first so that models (and therefore the
 // concrete Trojan examples shown to users) stay human-readable; the domain
 // bounds follow for constraints that force large values.
-func boundaryCandidates(d interval) []int64 {
-	raw := []int64{0, 1, -1, 2, -2, 7, 42, 100, -100, 255,
+// The distinct ones are written to buf, which the returned slice shares.
+func boundaryCandidates(buf *[15]int64, d interval) []int64 {
+	raw := [15]int64{0, 1, -1, 2, -2, 7, 42, 100, -100, 255,
 		d.hi, d.lo, d.hi - 1, d.lo + 1, d.lo/2 + d.hi/2}
-	seen := map[int64]bool{}
-	var out []int64
+	out := buf[:0]
 	for _, v := range raw {
-		if d.contains(v) && !seen[v] {
-			seen[v] = true
+		if d.contains(v) && !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}
@@ -984,14 +996,9 @@ func boundaryCandidates(d interval) []int64 {
 
 // finish validates a full assignment against all original constraints.
 func (s *Solver) finish(cs *conjState) (Result, expr.Env) {
-	env := make(expr.Env, len(cs.assigned))
-	for k, v := range cs.assigned {
-		env[k] = v
-	}
-	for _, v := range cs.varOrder {
-		if _, ok := env[v]; !ok {
-			env[v] = cs.domainOf(v).lo
-		}
+	env := make(expr.Env, len(cs.vars))
+	for i, v := range cs.vars {
+		env[v] = cs.dom[i].lo
 	}
 	s.stats.verified.Add(1)
 	for _, a := range cs.orig {
