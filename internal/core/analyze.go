@@ -132,6 +132,7 @@ type Result struct {
 	FilteredReports int // accepting states whose Trojan query was unsat/unknown
 	BulkDrops       int // client paths dropped via differentFrom (no solver call)
 	BindKeyHits     int // triggerability verdicts shared via canonical bind keys
+	WitnessHits     int // live-set and Trojan-possible queries answered by a parent model
 	Duration        time.Duration
 	EngineStats     symexec.Stats
 	SolverStats     solver.Stats
@@ -144,14 +145,20 @@ type Result struct {
 func (r *Result) Truncated() bool { return r.EngineStats.Truncated }
 
 // liveData is the per-state analysis payload: the IDs of client path
-// predicates that can still trigger the state.
+// predicates that can still trigger the state, plus the Sat models that
+// answered the state's queries. wit maps a bind key to a model of path ∧
+// bind, and trojan is a model of path ∧ ⋀ negate(live); either is nil when
+// unknown. Models are read-only once stored, so clones share them; onBranch
+// replaces wit with a fresh map instead of writing to a shared one.
 type liveData struct {
-	live []int
+	live   []int
+	wit    map[string]expr.Env
+	trojan expr.Env
 }
 
 // CloneData implements symexec.StateData.
 func (d *liveData) CloneData() symexec.StateData {
-	return &liveData{live: append([]int{}, d.live...)}
+	return &liveData{live: append([]int{}, d.live...), wit: d.wit, trojan: d.trojan}
 }
 
 // pendingReport is a Trojan report gathered during (possibly concurrent)
@@ -195,6 +202,8 @@ type analysis struct {
 	branches atomic.Int64 // branch constraints processed
 	maxDepth atomic.Int64 // deepest branch decision seen
 	found    atomic.Int64 // Trojan reports confirmed
+
+	witnesses atomic.Int64 // queries answered by a parent model (Result.WitnessHits)
 
 	mu      sync.Mutex
 	pending []pendingReport
@@ -273,8 +282,7 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 			a.mu.Lock()
 			a.res.AcceptingStates++
 			a.mu.Unlock()
-			live := a.liveFromScratch(st.SolverPrefix(), st.Path)
-			a.reportIfTrojan(st, live)
+			a.reportIfTrojan(st, a.liveFromScratch(st))
 		})
 		// A first-trojan stop (or a cancel) during phase B leaves accepting
 		// paths undifferenced: the class set is partial even though the
@@ -302,6 +310,7 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 		}
 	}
 	a.finalize()
+	a.res.WitnessHits = int(a.witnesses.Load())
 	a.res.Duration = time.Since(a.start)
 	a.res.SolverStats = a.sol.Stats()
 	if opts.Observer.OnProgress != nil {
@@ -400,34 +409,51 @@ func (a *analysis) ensureData(st *symexec.State) *liveData {
 	return d
 }
 
-// triggerable asks whether client path i can still trigger the server path.
-// pfx, when non-nil, is the server path's incremental solver handle — the
-// query then goes through the prefix fast path, which reuses the path's
-// flattened form and propagation fixpoint (verdicts, models and cache keys
-// are identical to the materialised query; see solver.CheckPrefixAllCtx).
-func (a *analysis) triggerable(pfx *solver.Prefix, serverPath []*expr.Expr, i int) bool {
-	cp := a.pc.Paths[i]
-	if pfx != nil {
-		res, _ := a.sol.CheckPrefixAllCtx(a.runCtx, pfx, cp.bind)
-		return res != solver.Unsat
+// witnessHook, when set by a test, observes every query a parent model
+// answered: the state's path, the query's suffix and the model.
+var witnessHook func(path, suffix []*expr.Expr, model expr.Env)
+
+// witnessed reports whether m, a model of path ∧ suffix before the state's
+// path gained cond (nil when none is known), satisfies cond too: it is then a
+// model of the extended query, which the solver cannot answer Unsat. An
+// unbound variable or a division by zero falls back to the solver.
+func (a *analysis) witnessed(st *symexec.State, m expr.Env, cond *expr.Expr, suffix []*expr.Expr) bool {
+	if m == nil {
+		return false
 	}
-	q := make([]*expr.Expr, 0, len(serverPath)+len(cp.bind))
-	q = append(q, serverPath...)
-	q = append(q, cp.bind...)
-	res, _ := a.sol.CheckCtx(a.runCtx, q)
-	return res != solver.Unsat
+	if v, err := expr.EvalBool(cond, m); err != nil || !v {
+		return false
+	}
+	a.witnesses.Add(1)
+	if witnessHook != nil {
+		witnessHook(st.Path, suffix, m)
+	}
+	return true
+}
+
+// triggerable asks whether client path i can still trigger the state's path
+// and returns a model of path ∧ bind when one is known. m is the parent's
+// model for i's bind key, cond the condition the path gained since (both nil
+// without a parent state). The query reuses the state's solver prefix.
+func (a *analysis) triggerable(st *symexec.State, i int, m expr.Env, cond *expr.Expr) (bool, expr.Env) {
+	bind := a.pc.Paths[i].bind
+	if a.witnessed(st, m, cond, bind) {
+		return true, m
+	}
+	res, model := a.sol.CheckPrefixAllCtx(a.runCtx, st.SolverPrefix(), bind)
+	return res != solver.Unsat, model
 }
 
 // liveFromScratch computes the live set for a path with no incremental
 // state (a-posteriori mode).
-func (a *analysis) liveFromScratch(pfx *solver.Prefix, serverPath []*expr.Expr) []int {
+func (a *analysis) liveFromScratch(st *symexec.State) []int {
 	var live []int
 	byKey := map[string]bool{}
 	for i := range a.pc.Paths {
 		key := a.pc.Paths[i].bindKey
 		ok, seen := byKey[key]
 		if !seen {
-			ok = a.triggerable(pfx, serverPath, i)
+			ok, _ = a.triggerable(st, i, nil, nil)
 			byKey[key] = ok
 		}
 		if ok {
@@ -486,6 +512,7 @@ func (a *analysis) onBranch(st *symexec.State, cond *expr.Expr) bool {
 	var kept, dropped []int
 	var bulkDrops, bindKeyHits int
 	byKey := map[string]bool{}
+	wit := make(map[string]expr.Env, len(d.wit))
 	for _, j := range d.live {
 		bulk := false
 		if bulkField >= 0 {
@@ -504,8 +531,12 @@ func (a *analysis) onBranch(st *symexec.State, cond *expr.Expr) bool {
 		key := a.pc.Paths[j].bindKey
 		ok, seen := byKey[key]
 		if !seen {
-			ok = a.triggerable(st.SolverPrefix(), st.Path, j)
+			var m expr.Env
+			ok, m = a.triggerable(st, j, d.wit[key], cond)
 			byKey[key] = ok
+			if m != nil {
+				wit[key] = m
+			}
 		} else {
 			bindKeyHits++
 		}
@@ -515,7 +546,7 @@ func (a *analysis) onBranch(st *symexec.State, cond *expr.Expr) bool {
 			dropped = append(dropped, j)
 		}
 	}
-	d.live = kept
+	d.live, d.wit = kept, wit
 	a.mu.Lock()
 	a.res.BulkDrops += bulkDrops
 	a.res.BindKeyHits += bindKeyHits
@@ -523,38 +554,47 @@ func (a *analysis) onBranch(st *symexec.State, cond *expr.Expr) bool {
 	a.mu.Unlock()
 	// Incremental Trojan check: discard the state as soon as no Trojan
 	// message can trigger it (Figure 7).
-	return a.trojanPossible(st.SolverPrefix(), st.Path, kept)
+	return a.trojanPossible(st, d, cond)
 }
 
-// trojanPossible checks sat(pathS ∧ ⋀ negate(pathC_i)) for the live set.
-// Unknown answers keep the state alive (conservative). Duplicate negations
-// (paths that admit identical message sets) collapse to one conjunct, which
-// keeps the DPLL split count proportional to the number of *distinct*
-// client predicates rather than the raw path count.
-func (a *analysis) trojanPossible(pfx *solver.Prefix, serverPath []*expr.Expr, live []int) bool {
+// trojanPossible checks sat(pathS ∧ ⋀ negate(pathC_i)) for the state's live
+// set and keeps the model in d.trojan. Unknown answers keep the state alive
+// (conservative). The live set only shrinks along a path, so the parent's
+// model satisfies the state's negations, and answers the query whenever it
+// satisfies cond as well.
+func (a *analysis) trojanPossible(st *symexec.State, d *liveData, cond *expr.Expr) bool {
+	negs, ok := a.negations(d.live)
+	if !ok {
+		return false
+	}
+	if a.witnessed(st, d.trojan, cond, negs) {
+		return true
+	}
+	res, model := a.sol.CheckPrefixAllCtx(a.runCtx, st.SolverPrefix(), negs)
+	d.trojan = model
+	return res != solver.Unsat
+}
+
+// negations returns the distinct negated client predicates of the live set,
+// or false when one of them is false: that client path can generate any
+// message on the server path, so no Trojan is provable there. Duplicate
+// negations (paths that admit identical message sets) collapse to one
+// conjunct, which keeps the DPLL split count proportional to the number of
+// *distinct* client predicates rather than the raw path count.
+func (a *analysis) negations(live []int) ([]*expr.Expr, bool) {
 	negs := make([]*expr.Expr, 0, len(live))
 	seen := map[uint64][]*expr.Expr{}
 	for _, i := range live {
 		neg := a.pc.Paths[i].Negation()
 		if neg.IsFalse() {
-			// Negation fully abandoned: this client path can generate any
-			// message on this server path; no Trojan is provable here.
-			return false
+			return nil, false
 		}
 		if dupSeen(seen, neg) {
 			continue
 		}
 		negs = append(negs, neg)
 	}
-	if pfx != nil {
-		res, _ := a.sol.CheckPrefixAllCtx(a.runCtx, pfx, negs)
-		return res != solver.Unsat
-	}
-	q := make([]*expr.Expr, 0, len(serverPath)+len(negs))
-	q = append(q, serverPath...)
-	q = append(q, negs...)
-	res, _ := a.sol.CheckCtx(a.runCtx, q)
-	return res != solver.Unsat
+	return negs, true
 }
 
 // dupSeen records neg in the hash-bucketed set, reporting prior presence.
@@ -589,31 +629,16 @@ func (a *analysis) filtered() {
 // example, streaming it to the observer. Index and ServerStateID assignment
 // is deferred to finalize so concurrent discoveries merge deterministically.
 func (a *analysis) reportIfTrojan(st *symexec.State, live []int) {
-	negs := make([]*expr.Expr, 0, len(live))
+	negs, ok := a.negations(live)
+	if !ok {
+		a.filtered()
+		return
+	}
 	witness := expr.AndAll(st.Path)
-	seen := map[uint64][]*expr.Expr{}
-	for _, i := range live {
-		neg := a.pc.Paths[i].Negation()
-		if neg.IsFalse() {
-			a.filtered()
-			return
-		}
-		if dupSeen(seen, neg) {
-			continue
-		}
-		negs = append(negs, neg)
+	for _, neg := range negs {
 		witness = expr.And(witness, neg)
 	}
-	var res solver.Result
-	var model expr.Env
-	if pfx := st.SolverPrefix(); pfx != nil {
-		res, model = a.sol.CheckPrefixAllCtx(a.runCtx, pfx, negs)
-	} else {
-		q := make([]*expr.Expr, 0, len(st.Path)+len(negs))
-		q = append(q, st.Path...)
-		q = append(q, negs...)
-		res, model = a.sol.CheckCtx(a.runCtx, q)
-	}
+	res, model := a.sol.CheckPrefixAllCtx(a.runCtx, st.SolverPrefix(), negs)
 	if res != solver.Sat {
 		a.filtered()
 		return

@@ -19,3 +19,12 @@ func VerifyNotClient(pc *ClientPredicate, s *solver.Solver, msg []int64, stateEn
 	a := &analysis{pc: pc, sol: s, runCtx: context.Background()}
 	return a.verifyNotClient(msg, stateEnv)
 }
+
+// SetWitnessHookForTest makes every query a parent model answers call f with
+// the state's path, the query's suffix and the model, and returns a func
+// that removes the hook. f may be called from several goroutines at once
+// and must not modify the model.
+func SetWitnessHookForTest(f func(path, suffix []*expr.Expr, model expr.Env)) (restore func()) {
+	witnessHook = f
+	return func() { witnessHook = nil }
+}

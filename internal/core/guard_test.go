@@ -7,8 +7,6 @@ import (
 
 	"achilles/internal/core"
 	"achilles/internal/expr"
-	_ "achilles/internal/protocols"
-	"achilles/internal/protocols/registry"
 	"achilles/internal/solver"
 )
 
@@ -86,7 +84,7 @@ func notClientReference(pc *core.ClientPredicate, s *solver.Solver, m guardMessa
 // verdict must equal the all-solver reference.
 func TestGuardRefutationDifferential(t *testing.T) {
 	modes := []core.Mode{core.ModeOptimized, core.ModeNoDifferentFrom, core.ModeAPosteriori}
-	for _, d := range registry.All() {
+	for _, d := range catalog(t) {
 		d := d
 		t.Run(d.Name, func(t *testing.T) {
 			t.Parallel()

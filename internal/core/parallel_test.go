@@ -1,14 +1,29 @@
 package core_test
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"achilles/internal/core"
+	_ "achilles/internal/protocols"
 	"achilles/internal/protocols/fsp"
-	"achilles/internal/protocols/pbft"
+	"achilles/internal/protocols/registry"
 )
+
+// catalog returns every registry target. Protocol packages register
+// themselves from init, so a test binary that stopped linking the full
+// catalog (internal/protocols) would loop over a subset without notice;
+// catalog fails t instead when pbft is missing.
+func catalog(t *testing.T) []registry.Descriptor {
+	t.Helper()
+	if _, ok := registry.Lookup("pbft"); !ok {
+		t.Fatal("pbft is not registered; the test must link the full catalog (internal/protocols)")
+	}
+	return registry.All()
+}
 
 // classSet renders the discovered Trojan classes in a canonical, order- and
 // ID-independent form: sorted witness plus concrete example strings.
@@ -22,54 +37,72 @@ func classSet(t *testing.T, res *core.Result) []string {
 	return out
 }
 
-// TestParallelMatchesSequential asserts the ISSUE acceptance criterion: the
-// parallel pipeline at -j 1, 2 and 8 reports exactly the Trojan class set of
-// the sequential pipeline on the FSP and PBFT targets. Run under -race this
-// also exercises the engine frontier, the analysis hooks and the shared
-// solver cache for data races.
-func TestParallelMatchesSequential(t *testing.T) {
-	targets := []struct {
-		name string
-		mk   func() core.Target
-	}{
-		{"fsp", func() core.Target { return fsp.NewTarget(false) }},
-		{"pbft", pbft.NewTarget},
+// scheduleFree are the counters of a run that depend only on the fork tree
+// and on solver answers, which depend only on the formula: they must not
+// depend on how the analysis is scheduled.
+type scheduleFree struct {
+	Accepting, Pruned, Filtered, BulkDrops, BindKeyHits, WitnessHits int
+	States, Forks, Steps, SolverCalls, Subsumed, Witnessed           int
+	LiveTrace                                                        string
+}
+
+func scheduleFreeOf(r *core.Result) scheduleFree {
+	trace := slices.Clone(r.LiveTrace)
+	slices.SortFunc(trace, func(a, b core.LivePoint) int {
+		return cmp.Or(cmp.Compare(a.PathLen, b.PathLen), cmp.Compare(a.Live, b.Live))
+	})
+	es := r.EngineStats
+	return scheduleFree{
+		r.AcceptingStates, r.PrunedStates, r.FilteredReports, r.BulkDrops, r.BindKeyHits, r.WitnessHits,
+		es.States, es.Forks, es.Steps, es.SolverCalls, es.Subsumed, es.Witnessed,
+		fmt.Sprint(trace),
 	}
-	for _, tgt := range targets {
-		t.Run(tgt.name, func(t *testing.T) {
-			seq, err := core.Run(tgt.mk(), core.AnalysisOptions{})
-			if err != nil {
-				t.Fatal(err)
+}
+
+// TestParallelMatchesSequential asserts that the parallel pipeline at -j 1,
+// 2 and 8 reproduces the sequential run of every registry target in all
+// three modes: the same Trojan class set, every report still verified
+// not-client, and the same schedule-free counters and sorted live trace. A
+// counter missing from the engine's per-worker merge, or a witness model
+// written by one sibling and read by another, shows up here. Run under
+// -race this also exercises the engine frontier, the analysis hooks and the
+// shared solver cache for data races.
+func TestParallelMatchesSequential(t *testing.T) {
+	modes := []core.Mode{core.ModeOptimized, core.ModeNoDifferentFrom, core.ModeAPosteriori}
+	for _, d := range catalog(t) {
+		t.Run(d.Name, func(t *testing.T) {
+			seq := make([]*core.Result, len(modes))
+			for i, mode := range modes {
+				run, err := d.Run(mode, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seq[i] = run.Analysis
 			}
-			want := classSet(t, seq.Analysis)
-			if len(want) == 0 {
+			if d.ExpectTrojans && len(seq[0].Trojans) == 0 {
 				t.Fatal("sequential run found no Trojans; the comparison is vacuous")
 			}
 			for _, j := range []int{1, 2, 8} {
-				j := j
 				t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
-					par, err := core.Run(tgt.mk(), core.AnalysisOptions{Parallelism: j})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := classSet(t, par.Analysis)
-					if len(got) != len(want) {
-						t.Fatalf("j=%d found %d Trojan classes, sequential found %d", j, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("j=%d class %d:\n  got  %s\n  want %s", j, i, got[i], want[i])
+					for i, mode := range modes {
+						run, err := d.Run(mode, j)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-					if par.Analysis.AcceptingStates != seq.Analysis.AcceptingStates {
-						t.Fatalf("j=%d accepting states %d, sequential %d",
-							j, par.Analysis.AcceptingStates, seq.Analysis.AcceptingStates)
-					}
-					// Every report must still carry the paper's §4 soundness
-					// verdicts.
-					for _, tr := range par.Analysis.Trojans {
-						if !tr.VerifiedNotClient {
-							t.Fatalf("j=%d trojan %d lost its non-client verification", j, tr.Index)
+						par := run.Analysis
+						want, got := classSet(t, seq[i]), classSet(t, par)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%v, j=%d: class set differs from the sequential run:\n  got  %q\n  want %q", mode, j, got, want)
+						}
+						if w, g := scheduleFreeOf(seq[i]), scheduleFreeOf(par); g != w {
+							t.Fatalf("%v, j=%d: counters differ from the sequential run:\n  got  %+v\n  want %+v", mode, j, g, w)
+						}
+						// Every report must still carry the paper's §4
+						// soundness verdicts.
+						for _, tr := range par.Trojans {
+							if !tr.VerifiedNotClient {
+								t.Fatalf("%v, j=%d: trojan %d lost its non-client verification", mode, j, tr.Index)
+							}
 						}
 					}
 				})

@@ -85,11 +85,13 @@ func (r *Result) Counters() Counters {
 		"filtered_reports":    int64(r.FilteredReports),
 		"bulk_drops":          int64(r.BulkDrops),
 		"bindkey_hits":        int64(r.BindKeyHits),
+		"witness_hits":        int64(r.WitnessHits),
 		"trojan_classes":      int64(len(r.Trojans)),
 		"engine_states":       int64(r.EngineStats.States),
 		"engine_forks":        int64(r.EngineStats.Forks),
 		"engine_steps":        int64(r.EngineStats.Steps),
 		"engine_solver_calls": int64(r.EngineStats.SolverCalls),
+		"engine_witnessed":    int64(r.EngineStats.Witnessed),
 		"engine_truncated":    boolCounter(r.EngineStats.Truncated),
 		"solver_queries":      int64(r.SolverStats.Queries),
 		"solver_cache_hits":   int64(r.SolverStats.CacheHits),

@@ -69,7 +69,8 @@ func TestCountersKeys(t *testing.T) {
 	res := &Result{AcceptingStates: 3, BulkDrops: 7}
 	res.Trojans = []TrojanReport{testReport()}
 	c := res.Counters()
-	for _, key := range []string{"accepting_states", "bulk_drops", "trojan_classes", "solver_queries", "engine_states"} {
+	for _, key := range []string{"accepting_states", "bulk_drops", "trojan_classes", "solver_queries", "engine_states",
+		"witness_hits", "engine_witnessed"} {
 		if _, ok := c[key]; !ok {
 			t.Errorf("Counters missing key %q", key)
 		}

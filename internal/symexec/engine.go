@@ -142,8 +142,16 @@ type State struct {
 	// flattened form and propagation fixpoint instead of re-solving the
 	// shared prefix per branch, and duplicate/complement branch conditions
 	// are decided without a solver call (see solver.Prefix). Prefixes are
-	// immutable, so forked siblings share the parent handle.
+	// immutable, so forked siblings share the parent handle. It is nil only
+	// in concrete mode, where branch and assume return before any
+	// feasibility check or hook, so Path stays empty there.
 	prefix *solver.Prefix
+
+	// model satisfies Path (nil when no model is known, e.g. after an
+	// Unknown answer). It answers a feasibility question without the solver
+	// whenever it satisfies the new condition too; see feasible. Models are
+	// read-only once stored, so states share them.
+	model expr.Env
 }
 
 // frame returns the top activation.
@@ -255,6 +263,9 @@ type Stats struct {
 	// prefix's interned-atom index — a condition (or its complement) already
 	// on the path — without consulting the solver.
 	Subsumed int
+	// Witnessed counts feasibility questions answered by the path model:
+	// the condition holds under a model of the path, so it is feasible.
+	Witnessed int
 
 	// Truncated reports that the exploration stopped before the fork tree
 	// was exhausted — either MaxStates tripped while unexplored states
@@ -674,8 +685,8 @@ func (e *Engine) branch(ctx *wctx, st *State, fr *Frame, in *lang.Instr, cond *e
 		return nil
 	}
 	negCond := expr.Not(cond)
-	tFeasible := e.feasible(ctx, st, cond)
-	fFeasible := e.feasible(ctx, st, negCond)
+	tFeasible, tModel := e.feasible(ctx, st, cond)
+	fFeasible, fModel := e.feasible(ctx, st, negCond)
 	switch {
 	case tFeasible && fFeasible:
 		sibling := e.fork(ctx, st)
@@ -684,6 +695,7 @@ func (e *Engine) branch(ctx *wctx, st *State, fr *Frame, in *lang.Instr, cond *e
 		st.Trail += "0"
 		st.Path = append(st.Path, cond)
 		st.prefix = st.prefix.Extend(cond)
+		st.model = tModel
 		fr.PC = in.A
 		if !e.fireBranch(st, cond) {
 			st.Status = StatusPruned
@@ -693,6 +705,7 @@ func (e *Engine) branch(ctx *wctx, st *State, fr *Frame, in *lang.Instr, cond *e
 		sibling.Trail += "1"
 		sibling.Path = append(sibling.Path, negCond)
 		sibling.prefix = sibling.prefix.Extend(negCond)
+		sibling.model = fModel
 		sibling.frame().PC = in.B
 		if !e.fireBranch(sibling, negCond) {
 			sibling.Status = StatusPruned
@@ -721,40 +734,53 @@ func (e *Engine) fireBranch(st *State, cond *expr.Expr) bool {
 	return e.opts.Hooks.OnBranch(st, cond)
 }
 
-// feasible asks the solver whether the path plus cond is satisfiable.
-// Unknown is treated as feasible (sound for bug finding: accepted paths are
-// re-verified before reporting).
+// feasible asks the solver whether the path plus cond is satisfiable, and
+// returns a model of the extended path when one is known. Unknown is treated
+// as feasible (sound for bug finding: accepted paths are re-verified before
+// reporting).
 //
 // Two fast paths answer without a full solve. Frontier subsumption: when
 // cond (or its complement) is already a conjunctive atom of the path, the
 // prefix's interned-atom index decides the question syntactically with the
 // exact answer the solver would give (see solver.Prefix.Implies) — this is
 // what collapses the sibling states whose branch condition is implied by an
-// already-explored path. Otherwise the query runs through the prefix handle,
-// reusing the path's flattened form and propagation fixpoint instead of
-// re-solving the shared prefix from scratch.
-func (e *Engine) feasible(ctx *wctx, st *State, cond *expr.Expr) bool {
+// already-explored path. Path model: when the path's model satisfies cond, it
+// is a model of the extended path, so the solver could not answer Unsat. A
+// model that binds every variable of cond satisfies cond or its complement,
+// so one side of such a two-sided branch is always answered this way.
+// Otherwise the query runs through the prefix handle, reusing the path's
+// flattened form and propagation fixpoint instead of re-solving the shared
+// prefix from scratch.
+func (e *Engine) feasible(ctx *wctx, st *State, cond *expr.Expr) (bool, expr.Env) {
 	if cond.IsTrue() {
-		return true
+		return true, st.model
 	}
 	if cond.IsFalse() {
-		return false
+		return false, nil
 	}
 	if holds, ok := st.prefix.Implies(cond); ok {
 		ctx.stats.Subsumed++
-		return holds
+		return holds, st.model
+	}
+	if st.model != nil {
+		// An unbound variable (new in cond, or only in a disjunct the search
+		// never chose) or a division by zero falls back to the solver.
+		if v, err := expr.EvalBool(cond, st.model); err == nil && v {
+			ctx.stats.Witnessed++
+			if witnessHook != nil {
+				witnessHook(st.Path, cond, st.model)
+			}
+			return true, st.model
+		}
 	}
 	ctx.stats.SolverCalls++
-	if st.prefix != nil {
-		res, _ := e.opts.Solver.CheckPrefixCtx(e.ctx, st.prefix, cond)
-		return res != solver.Unsat
-	}
-	cs := make([]*expr.Expr, 0, len(st.Path)+1)
-	cs = append(cs, st.Path...)
-	cs = append(cs, cond)
-	res, _ := e.opts.Solver.CheckCtx(e.ctx, cs)
-	return res != solver.Unsat
+	res, model := e.opts.Solver.CheckPrefixCtx(e.ctx, st.prefix, cond)
+	return res != solver.Unsat, model
 }
+
+// witnessHook, when set by a test, observes every feasibility question the
+// path model answered: the path, the condition and the model.
+var witnessHook func(path []*expr.Expr, cond *expr.Expr, model expr.Env)
 
 // intrinsic executes an OpIntrin instruction.
 func (e *Engine) intrinsic(ctx *wctx, st *State, fr *Frame, in *lang.Instr) *State {
@@ -827,12 +853,14 @@ func (e *Engine) intrinsic(ctx *wctx, st *State, fr *Frame, in *lang.Instr) *Sta
 			e.fail(st, in.Pos, "symbolic assume in concrete mode")
 			return nil
 		}
-		if !e.feasible(ctx, st, cond) {
+		ok, model := e.feasible(ctx, st, cond)
+		if !ok {
 			st.Status = StatusExited
 			return nil
 		}
 		st.Path = append(st.Path, cond)
 		st.prefix = st.prefix.Extend(cond)
+		st.model = model
 		// assume() adds a path constraint just like a branch does, so the
 		// branch hook fires here too (analyses track every constraint).
 		if !e.fireBranch(st, cond) {

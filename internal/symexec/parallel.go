@@ -148,6 +148,7 @@ func (e *Engine) runParallel(init *State) {
 		stats.Steps += ctx.stats.Steps
 		stats.SolverCalls += ctx.stats.SolverCalls
 		stats.Subsumed += ctx.stats.Subsumed
+		stats.Witnessed += ctx.stats.Witnessed
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Trail < all[j].Trail })
 	for i, st := range all {
