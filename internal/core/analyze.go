@@ -464,14 +464,14 @@ func (a *analysis) liveFromScratch(st *symexec.State) []int {
 }
 
 // singleFieldOf returns the message field index when every variable of cond
-// belongs to exactly one message field, else -1. Used to gate the
-// differentFrom bulk drop.
+// belongs to exactly one message field that clients send, else -1. Used to
+// gate the differentFrom bulk drop.
 func (a *analysis) singleFieldOf(cond *expr.Expr) int {
 	field := -1
 	for _, v := range expr.Vars(cond) {
 		f := a.pc.FieldIndexOfVar(v)
-		if f < 0 {
-			return -1 // touches non-message state
+		if f < 0 || f >= a.pc.NumFields {
+			return -1 // touches non-message state or a field no client sends
 		}
 		if field == -1 {
 			field = f
@@ -480,6 +480,21 @@ func (a *analysis) singleFieldOf(cond *expr.Expr) int {
 		}
 	}
 	return field
+}
+
+// tiesField reports whether a constraint of path mentions message field f
+// together with any other variable.
+func (a *analysis) tiesField(path []*expr.Expr, f int) bool {
+	name := a.pc.MsgVarName(f)
+	vars := map[string]bool{}
+	for _, c := range path {
+		clear(vars)
+		expr.CollectVars(c, vars)
+		if vars[name] && len(vars) > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 // onBranch updates the live set and prunes states that no Trojan can reach.
@@ -501,11 +516,15 @@ func (a *analysis) onBranch(st *symexec.State, cond *expr.Expr) bool {
 	// differentFrom bulk drop (§3.3): when the new constraint touches a
 	// single independent field f and pathC_i was already dropped by it,
 	// every pathC_j with no extra values on field f (differentFrom = No)
-	// must die with it — without consulting the solver.
+	// must die with it — without consulting the solver. That holds only
+	// while no constraint of the path ties m_f to another variable; the
+	// first drop that would fire checks this, and a tie sends every path to
+	// the solver (DESIGN.md, Phase 2).
 	bulkField := -1
 	if a.opts.Mode == ModeOptimized {
 		bulkField = a.singleFieldOf(cond)
 	}
+	tieChecked := false
 	// Drop client paths that can no longer trigger this server path. Paths
 	// with the same canonical message-relevant signature share one solver
 	// verdict (flag-style variants admit exactly the same messages).
@@ -517,9 +536,15 @@ func (a *analysis) onBranch(st *symexec.State, cond *expr.Expr) bool {
 		bulk := false
 		if bulkField >= 0 {
 			for _, i := range dropped {
-				if a.pc.differentFrom[j][i][bulkField] == TriNo {
+				if a.pc.DifferentFrom(j, i, bulkField) == TriNo {
 					bulk = true
 					break
+				}
+			}
+			if bulk && !tieChecked {
+				tieChecked = true
+				if a.tiesField(st.Path, bulkField) {
+					bulkField, bulk = -1, false
 				}
 			}
 		}
@@ -579,33 +604,24 @@ func (a *analysis) trojanPossible(st *symexec.State, d *liveData, cond *expr.Exp
 // or false when one of them is false: that client path can generate any
 // message on the server path, so no Trojan is provable there. Duplicate
 // negations (paths that admit identical message sets) collapse to one
-// conjunct, which keeps the DPLL split count proportional to the number of
-// *distinct* client predicates rather than the raw path count.
+// conjunct, the first live path's of each negation class, which keeps the
+// DPLL split count proportional to the number of *distinct* client
+// predicates rather than the raw path count.
 func (a *analysis) negations(live []int) ([]*expr.Expr, bool) {
 	negs := make([]*expr.Expr, 0, len(live))
-	seen := map[uint64][]*expr.Expr{}
+	seen := make([]bool, a.pc.negClasses)
 	for _, i := range live {
-		neg := a.pc.Paths[i].Negation()
-		if neg.IsFalse() {
-			return nil, false
-		}
-		if dupSeen(seen, neg) {
+		cp := a.pc.Paths[i]
+		if seen[cp.negClass] {
 			continue
 		}
-		negs = append(negs, neg)
+		seen[cp.negClass] = true
+		if cp.negation.IsFalse() {
+			return nil, false
+		}
+		negs = append(negs, cp.negation)
 	}
 	return negs, true
-}
-
-// dupSeen records neg in the hash-bucketed set, reporting prior presence.
-func dupSeen(seen map[uint64][]*expr.Expr, neg *expr.Expr) bool {
-	for _, e := range seen[neg.Hash()] {
-		if expr.Equal(e, neg) {
-			return true
-		}
-	}
-	seen[neg.Hash()] = append(seen[neg.Hash()], neg)
-	return false
 }
 
 // onAccept emits a Trojan report for an accepting state.

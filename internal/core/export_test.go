@@ -28,3 +28,10 @@ func SetWitnessHookForTest(f func(path, suffix []*expr.Expr, model expr.Env)) (r
 	witnessHook = f
 	return func() { witnessHook = nil }
 }
+
+// Member returns client path i's member predicate for field f: its value set
+// over the member variable, nil when the field is masked or not simple.
+func Member(pc *ClientPredicate, i, f int) *expr.Expr { return pc.members[i][f] }
+
+// NegClass returns client path i's negation class.
+func NegClass(pc *ClientPredicate, i int) int { return pc.Paths[i].negClass }

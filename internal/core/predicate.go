@@ -57,9 +57,15 @@ type ClientPath struct {
 	// c{ID}_*; satisfiable together with a server path iff a message on that
 	// server path is generatable by this client path.
 	bind []*expr.Expr
-	// negDisjuncts[f] is the negation disjunct for field f over the server
-	// message vars (nil when abandoned). Their disjunction is negate(pathC).
-	negDisjuncts []*expr.Expr
+	// negation is negate(pathC): the kept per-field negation disjuncts over
+	// the server message vars, folded into one disjunction in field order
+	// (false when every field was abandoned).
+	negation *expr.Expr
+	// negClass numbers the path's negation among the distinct ones: two
+	// paths share a class exactly when their negations are structurally
+	// equal, so the server phase deduplicates a live set's negations by
+	// class instead of comparing trees.
+	negClass int
 	// simpleField[f] reports that field f is "independent" in the paper's
 	// sense: a constant or a pure input var whose constraints mention only
 	// that var, enabling differentFrom reasoning.
@@ -81,18 +87,10 @@ func (cp *ClientPath) BindKey() string { return cp.bindKey }
 func (cp *ClientPath) Bind() []*expr.Expr { return cp.bind }
 
 // Negation returns negate(pathC) as a single disjunction over the server
-// message variables, skipping abandoned fields (nil disjuncts). An empty
-// disjunction (false) means the negation was abandoned for every field: no
-// message can be proven non-generatable.
-func (cp *ClientPath) Negation() *expr.Expr {
-	out := expr.False()
-	for _, d := range cp.negDisjuncts {
-		if d != nil {
-			out = expr.Or(out, d)
-		}
-	}
-	return out
-}
+// message variables, skipping abandoned fields. An empty disjunction (false)
+// means the negation was abandoned for every field, or the predicate was not
+// preprocessed: no message can be proven non-generatable.
+func (cp *ClientPath) Negation() *expr.Expr { return cp.negation }
 
 // Tri is a three-valued truth value used by the differentFrom matrix.
 type Tri uint8
@@ -114,16 +112,25 @@ type ClientPredicate struct {
 	// MsgPrefix is the server message variable prefix ("m": fields are
 	// m0, m1, ...).
 	MsgPrefix string
-	// differentFrom[i][j][f] = TriYes when path i can place a value in
-	// field f that path j cannot; TriNo when provably not (field-f values
-	// of i are a subset of j's); TriUnknown otherwise.
-	differentFrom [][][]Tri
 	// members[i][f] is path i's value-set predicate for field f over
 	// memberVar: true exactly at the values path i can place in field f.
-	// Nil when the field is masked or not simple. The differentFrom matrix
-	// is built from them, and the §4 guard evaluates them at a concrete
-	// message to rule client paths out without a solver query.
+	// Nil when the field is masked or not simple. The §4 guard evaluates
+	// them at a concrete message to rule client paths out without a solver
+	// query.
 	members [][]*expr.Expr
+	// memberClass[i][f] numbers members[i][f] by its rendering, so paths
+	// that place the same value set in a field share a member class; -1
+	// where members[i][f] is nil. classDiff is the differentFrom matrix
+	// over member classes, numClasses × numClasses in row-major order:
+	// classDiff[a·numClasses+b] = TriYes when class a holds a value class
+	// b does not, TriNo when provably not (a's values are a subset of b's),
+	// TriUnknown when undecided or never asked. Nil until preprocessing
+	// completes. DifferentFrom reads the path-level matrix through them.
+	memberClass [][]int
+	classDiff   []Tri
+	numClasses  int
+	// negClasses counts the distinct negations (ClientPath.negClass).
+	negClasses int
 
 	// Masked fields are hidden from the analysis (§5.2): no negation
 	// disjuncts are built for them.
@@ -157,9 +164,23 @@ type PreprocessStats struct {
 	SolverQueries  int
 }
 
-// DifferentFrom exposes the matrix for tests and tooling.
+// DifferentFrom is the §3.3 matrix entry differentFrom[i][j][f]: TriYes
+// when path i can place a value in field f that path j cannot, TriNo when
+// provably not (i's field-f values are a subset of j's, always so for i ==
+// j), and TriUnknown when either path's field f is masked or not simple,
+// when the solver did not decide, or when preprocessing did not complete.
 func (pc *ClientPredicate) DifferentFrom(i, j, f int) Tri {
-	return pc.differentFrom[i][j][f]
+	switch {
+	case pc.classDiff == nil:
+		return TriUnknown
+	case i == j:
+		return TriNo
+	}
+	a, b := pc.memberClass[i][f], pc.memberClass[j][f]
+	if a < 0 || b < 0 {
+		return TriUnknown
+	}
+	return pc.classDiff[a*pc.numClasses+b]
 }
 
 // Masked reports whether field f is hidden from the analysis.
@@ -277,6 +298,7 @@ func ExtractClientPredicateCtx(ctx context.Context, clients []ClientProgram, opt
 					Origin:      cl.Name,
 					Fields:      sent.Fields,
 					Constraints: sent.Path,
+					negation:    expr.False(),
 				}
 				if pc.NumFields == 0 {
 					pc.NumFields = len(sent.Fields)
@@ -365,20 +387,20 @@ func (pc *ClientPredicate) Preprocess(s *solver.Solver) {
 // fanned out over the given number of workers. Paths are independent, so
 // the produced artifacts are identical to the sequential run; per-path
 // counters are summed in path order, keeping PreprocessStats
-// deterministic. The differentFrom matrix stays sequential: its memo
-// already collapses the quadratic query load, and the remaining solver
-// calls hit the verdict cache.
+// deterministic. Numbering the negations and the differentFrom matrix stay
+// sequential: the matrix asks one query per member-class pair (84 on the
+// rich 256-path FSP corpus), which is too little work to fan out.
 func (pc *ClientPredicate) PreprocessParallel(s *solver.Solver, workers int) {
 	pc.PreprocessParallelCtx(context.Background(), s, workers)
 }
 
 // PreprocessParallelCtx is PreprocessParallel under a context: cancellation
-// skips the remaining per-path work and leaves the rest of the differentFrom
-// matrix at TriUnknown (the conservative don't-know). A cancelled
-// preprocessing run leaves the predicate HALF-BUILT — missing negation
-// disjuncts read as "abandoned" and silently suppress Trojan classes — so
-// callers must check ctx.Err() afterwards and refuse to analyse with it
-// (RunCtx and ExtractClientPredicateCtx both do).
+// skips the remaining per-path work and leaves the differentFrom matrix
+// unset, so every entry reads TriUnknown (the conservative don't-know). A
+// cancelled preprocessing run leaves the predicate HALF-BUILT — missing
+// negation disjuncts read as "abandoned" and silently suppress Trojan
+// classes — so callers must check ctx.Err() afterwards and refuse to
+// analyse with it (RunCtx and ExtractClientPredicateCtx both do).
 func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.Solver, workers int) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -399,7 +421,36 @@ func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.
 		pc.PreprocessStats.OverlapDropped += st.OverlapDropped
 		pc.PreprocessStats.SolverQueries += st.SolverQueries
 	}
+	if ctx.Err() != nil {
+		// The per-path work stopped early, so field classes and negations
+		// may be missing: build no classes, no member predicates and no
+		// matrix.
+		return
+	}
+	pc.numberNegations()
 	pc.buildDifferentFrom(ctx, s)
+}
+
+// numberNegations gives every path its negation class in path order, so the
+// IDs do not depend on how the per-path work was scheduled.
+func (pc *ClientPredicate) numberNegations() {
+	firsts := map[uint64][]*ClientPath{} // first path of each class, by hash
+	pc.negClasses = 0
+	for _, cp := range pc.Paths {
+		h := cp.negation.Hash()
+		cp.negClass = -1
+		for _, first := range firsts[h] {
+			if expr.Equal(first.negation, cp.negation) {
+				cp.negClass = first.negClass
+				break
+			}
+		}
+		if cp.negClass < 0 {
+			cp.negClass = pc.negClasses
+			pc.negClasses++
+			firsts[h] = append(firsts[h], cp)
+		}
+	}
 }
 
 // buildBindKey computes the canonical message-relevant signature. The
@@ -576,7 +627,7 @@ func (pc *ClientPredicate) classifyFields(cp *ClientPath) {
 // path predicate is discarded, keeping the negation a strict
 // under-approximation.
 func (pc *ClientPredicate) buildNegation(ctx context.Context, cp *ClientPath, s *solver.Solver, stats *PreprocessStats) {
-	cp.negDisjuncts = make([]*expr.Expr, len(cp.Fields))
+	cp.negation = expr.False()
 	for f, e := range cp.Fields {
 		if pc.masked[f] {
 			continue
@@ -627,7 +678,7 @@ func (pc *ClientPredicate) buildNegation(ctx context.Context, cp *ClientPath, s 
 				continue
 			}
 		}
-		cp.negDisjuncts[f] = d
+		cp.negation = expr.Or(cp.negation, d)
 		stats.Disjuncts++
 	}
 }
@@ -685,91 +736,95 @@ func (cp *ClientPath) fieldValueMember(f int, v *expr.Expr) *expr.Expr {
 	return expr.Substitute(expr.AndAll(ks), map[string]*expr.Expr{e.Name: v})
 }
 
-// buildDifferentFrom computes the §3.3 matrix for simple fields. The
-// computation is exactly the one in the paper: apply the (field-level)
-// negate operator between every pair of client path predicates. Because
-// large client corpora contain many paths with identical per-field value
-// sets (e.g. every flag combination of the same utility), queries are
-// memoised by the canonical member-predicate pair, which collapses the
-// O(n²·fields) solver work to the number of distinct value-set pairs.
+// buildDifferentFrom computes the §3.3 matrix for simple fields: the paper
+// applies the field-level negate operator between every pair of client path
+// predicates. A member predicate renders a value set over memberVar, so
+// paths whose renderings are equal place the same values, and large corpora
+// repeat a few value sets many times (every flag combination of the same
+// utility). Each distinct rendering is one member class, and the matrix is
+// kept per class pair: a pair is solved once, when two distinct paths first
+// hold it at one field, and never when no field brings it together. The
+// DiffFrom* tallies still count ordered path pairs per field, from the
+// class sizes at that field.
 func (pc *ClientPredicate) buildDifferentFrom(ctx context.Context, s *solver.Solver) {
 	n := len(pc.Paths)
-	pc.differentFrom = make([][][]Tri, n)
-	for i := range pc.differentFrom {
-		pc.differentFrom[i] = make([][]Tri, n)
-		for j := range pc.differentFrom[i] {
-			pc.differentFrom[i][j] = make([]Tri, pc.NumFields)
-		}
-	}
-	if ctx.Err() != nil {
-		// The per-path work stopped early, so field classes may be missing;
-		// the whole matrix stays TriUnknown and no member predicates exist.
-		return
-	}
 	v := expr.Var(memberVar)
-	// Canonical member predicates per (path, field), nil when not simple.
-	members := make([][]*expr.Expr, n)
-	keys := make([][]string, n)
+	ids := map[string]int{}
+	var classes []*expr.Expr // member predicate of each class
+	pc.members = make([][]*expr.Expr, n)
+	pc.memberClass = make([][]int, n)
 	for i, p := range pc.Paths {
-		members[i] = make([]*expr.Expr, pc.NumFields)
-		keys[i] = make([]string, pc.NumFields)
-		for f := 0; f < pc.NumFields; f++ {
+		pc.members[i] = make([]*expr.Expr, pc.NumFields)
+		pc.memberClass[i] = make([]int, pc.NumFields)
+		for f := range pc.NumFields {
+			pc.memberClass[i][f] = -1
 			if pc.masked[f] || !p.simpleField[f] {
 				continue
 			}
 			m := p.fieldValueMember(f, v)
-			members[i][f] = m
-			keys[i][f] = m.String()
+			key := m.String()
+			c, ok := ids[key]
+			if !ok {
+				c = len(classes)
+				ids[key] = c
+				classes = append(classes, m)
+			}
+			pc.members[i][f], pc.memberClass[i][f] = m, c
 		}
 	}
-	pc.members = members
-	memo := map[[2]string]Tri{}
-	for i := range pc.Paths {
-		if ctx.Err() != nil {
-			// Remaining entries stay TriUnknown — the conservative verdict
-			// that disables the bulk drop but never flips a result.
-			return
-		}
-		for j := range pc.Paths {
-			if i == j {
-				for f := 0; f < pc.NumFields; f++ {
-					pc.differentFrom[i][j][f] = TriNo
-					pc.PreprocessStats.DiffFromNo++
+	k := len(classes)
+	diff := make([]Tri, k*k)
+	solved := make([]bool, k*k)
+	size := make([]int, k) // paths holding each class at the current field
+	var tally [3]int       // ordered path pairs per verdict, indexed by Tri
+	for f := range pc.NumFields {
+		var at []int // classes present at field f, in path order
+		simple := 0  // paths with a member at field f
+		for i := range pc.Paths {
+			if c := pc.memberClass[i][f]; c >= 0 {
+				if size[c] == 0 {
+					at = append(at, c)
 				}
-				continue
+				size[c]++
+				simple++
 			}
-			for f := 0; f < pc.NumFields; f++ {
-				if members[i][f] == nil || members[j][f] == nil {
-					pc.differentFrom[i][j][f] = TriUnknown
-					pc.PreprocessStats.DiffFromUnk++
+		}
+		tally[TriNo] += n                                // i == j
+		tally[TriUnknown] += n*(n-1) - simple*(simple-1) // a nil member
+		for _, a := range at {
+			for _, b := range at {
+				pairs := size[a] * size[b]
+				if a == b {
+					pairs -= size[a] // i != j
+				}
+				if pairs == 0 {
 					continue
 				}
-				key := [2]string{keys[i][f], keys[j][f]}
-				tri, ok := memo[key]
-				if !ok {
-					// ∃v: member_i(v) ∧ ¬member_j(v)?
-					q := []*expr.Expr{members[i][f], expr.Not(members[j][f])}
+				ab := a*k + b
+				if !solved[ab] {
+					solved[ab] = true
+					// ∃v: member_a(v) ∧ ¬member_b(v)? Unknown stays TriUnknown.
 					pc.PreprocessStats.SolverQueries++
-					switch res, _ := s.CheckCtx(ctx, q); res {
+					switch res, _ := s.CheckCtx(ctx, []*expr.Expr{classes[a], expr.Not(classes[b])}); res {
 					case solver.Sat:
-						tri = TriYes
+						diff[ab] = TriYes
 					case solver.Unsat:
-						tri = TriNo
-					default:
-						tri = TriUnknown
+						diff[ab] = TriNo
 					}
-					memo[key] = tri
 				}
-				pc.differentFrom[i][j][f] = tri
-				switch tri {
-				case TriYes:
-					pc.PreprocessStats.DiffFromYes++
-				case TriNo:
-					pc.PreprocessStats.DiffFromNo++
-				default:
-					pc.PreprocessStats.DiffFromUnk++
-				}
+				tally[diff[ab]] += pairs
 			}
 		}
+		for _, c := range at {
+			size[c] = 0
+		}
+	}
+	pc.PreprocessStats.DiffFromYes += tally[TriYes]
+	pc.PreprocessStats.DiffFromNo += tally[TriNo]
+	pc.PreprocessStats.DiffFromUnk += tally[TriUnknown]
+	if ctx.Err() == nil {
+		// A cancel turns the remaining queries Unknown; the matrix then
+		// stays unset rather than half-decided.
+		pc.classDiff, pc.numClasses = diff, k
 	}
 }
