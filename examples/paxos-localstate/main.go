@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,10 +18,7 @@ func main() {
 	// Mode 1 — Concrete Local State: run the system concretely into phase 2
 	// with proposed value 7, then analyse. Any Accept with value != 7 is
 	// Trojan in that world.
-	run, err := achilles.Run(paxos.ConcreteStateTarget(3, 7), achilles.AnalysisOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	run := analyse(paxos.ConcreteStateTarget(3, 7))
 	fmt.Println("concrete local state (ballot=3, value=7):")
 	for _, tr := range run.Analysis.Trojans {
 		fmt.Printf("  Trojan Accept: %v  [type ballot value]\n", tr.Concrete)
@@ -28,10 +26,7 @@ func main() {
 
 	// Mode 2 — Constructed Symbolic Local State: one analysis with a
 	// symbolic proposed value covers every concrete world.
-	srun, err := achilles.Run(paxos.SymbolicStateTarget(), achilles.AnalysisOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	srun := analyse(paxos.SymbolicStateTarget())
 	fmt.Println("\nconstructed symbolic local state (one run, all worlds):")
 	for _, tr := range srun.Analysis.Trojans {
 		fmt.Printf("  Trojan class: %s\n", tr.Witness)
@@ -53,4 +48,18 @@ func main() {
 	after, _ := g.Learn([]int{0, 1, 2})
 	fmt.Printf("\nconcrete injection: learner saw %d before the attack, %d after — agreement broken\n",
 		before, after)
+}
+
+// analyse runs both Achilles phases on a target as a session and waits for
+// the result.
+func analyse(t achilles.Target) *achilles.RunResult {
+	sess, err := achilles.Start(context.Background(), t)
+	if err != nil {
+		log.Fatal(err)
+	}
+	run, err := sess.Wait()
+	if err != nil {
+		log.Fatal(err)
+	}
+	return run
 }

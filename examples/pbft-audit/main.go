@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -14,7 +15,11 @@ import (
 )
 
 func main() {
-	run, err := achilles.Run(pbft.NewTarget(), achilles.AnalysisOptions{})
+	sess, err := achilles.Start(context.Background(), pbft.NewTarget())
+	if err != nil {
+		log.Fatal(err)
+	}
+	run, err := sess.Wait()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"achilles/internal/core"
 )
 
 // FormatVersion is the on-disk bundle layout version. Read rejects bundles
@@ -20,9 +22,9 @@ const FormatVersion = 1
 // ManifestName is the manifest file inside a bundle directory.
 const ManifestName = "manifest.json"
 
-// Counters is the flat counter map persisted in manifests (see
-// core.Counters for the producing side).
-type Counters map[string]int64
+// Counters is the flat counter map persisted in manifests: the same type
+// core produces, so a run's counters land in its manifest entry unconverted.
+type Counters = core.Counters
 
 // Manifest is the machine-readable summary of one campaign run — the
 // versioned header of an audit bundle.

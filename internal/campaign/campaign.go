@@ -106,6 +106,12 @@ type Options struct {
 	// dispatch.Coordinator runs jobs on worker subprocesses instead. The
 	// campaign never closes the executor — its creator owns its lifetime.
 	Executor Executor
+	// Observe, when non-nil, supplies the observer for each job the
+	// in-process backend starts, called once per job just before its
+	// analysis runs; achillesd streams a job's phase, Trojan and progress
+	// events to its SSE subscribers through it. Like Extra it holds a
+	// function value, so only LocalExecutor honours it.
+	Observe func(Job) core.Observer
 	// ShuffleSeed is a scheduling-jitter test hook: when nonzero, the order
 	// jobs are fed to the executor lanes is shuffled deterministically from
 	// this seed instead of following plan order. Results are unaffected —
@@ -431,17 +437,15 @@ func runJob(ctx context.Context, j Job, d registry.Descriptor, ok bool, parallel
 	rm.Classes = len(run.Analysis.Trojans)
 	rm.ClientPaths = len(run.Clients.Paths)
 	rm.Truncated = run.Truncated()
-	rm.Counters = Counters(run.Counters())
-	return rm, ReportsFromRun(tgt.FieldNames, run.Analysis.Trojans)
+	rm.Counters = run.Counters()
+	return rm, reportsFromRun(tgt.FieldNames, run.Analysis.Trojans)
 }
 
-// ReportsFromRun converts a completed analysis' Trojan classes into the
+// reportsFromRun converts a completed analysis' Trojan classes into the
 // bundle report stream, in canonical class-line order — so a bundle is a
 // deterministic function of the class set, independent of discovery order
-// and parallelism. Every producer of persisted reports (the campaign engine,
-// the achillesd serving layer) must go through this conversion: it is what
-// makes daemon-produced bundles byte-identical to CLI-produced ones.
-func ReportsFromRun(fields []string, trojans []core.TrojanReport) []Report {
+// and parallelism.
+func reportsFromRun(fields []string, trojans []core.TrojanReport) []Report {
 	reports := make([]Report, 0, len(trojans))
 	for _, tr := range trojans {
 		rep := Report{

@@ -92,10 +92,15 @@ func (e *LocalExecutor) Negotiate(budget int, pending []PlannedJob) []int {
 	return splitBudget(budget, lanes)
 }
 
-// Run executes one job in-process with the lane's parallelism grant.
+// Run executes one job in-process with the lane's parallelism grant and the
+// observer Options.Observe supplies for it.
 func (e *LocalExecutor) Run(ctx context.Context, j Job, parallelism int) (RunManifest, []Report) {
 	d, ok := e.opts.lookupTarget(j.Target)
-	return runJob(ctx, j, d, ok, parallelism, e.sol, core.Observer{})
+	var obs core.Observer
+	if e.opts.Observe != nil {
+		obs = e.opts.Observe(j)
+	}
+	return runJob(ctx, j, d, ok, parallelism, e.sol, obs)
 }
 
 // Close is a no-op: the local backend holds no resources beyond the solver
@@ -106,9 +111,8 @@ func (e *LocalExecutor) Close() error { return nil }
 // — the single-job execution path shared by the local backend and the
 // achilles-worker subprocess, so a job computes the same manifest entry and
 // report stream whichever process hosts it. The observer streams live
-// phase/Trojan/progress events (a worker forwards them as wire progress
-// ticks); pass core.Observer{} for none. A nil solver gets
-// solver.Default().
+// phase/Trojan/progress events to an in-process caller; the worker passes
+// core.Observer{}. A nil solver gets solver.Default().
 func ExecuteJob(ctx context.Context, j Job, parallelism int, sol *solver.Solver, obs core.Observer) (RunManifest, []Report) {
 	if sol == nil {
 		sol = solver.Default()

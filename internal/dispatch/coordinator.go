@@ -39,12 +39,6 @@ type Config struct {
 	// Stderr receives the workers' stderr; nil means os.Stderr.
 	Stderr io.Writer
 
-	// OnProgress, when non-nil, receives live progress ticks relayed from
-	// workers: the running job's key plus its cumulative explored-state and
-	// Trojan-class counts. Called from reader goroutines — must be
-	// concurrency-safe and quick.
-	OnProgress func(job string, states, classes int)
-
 	// spawn overrides subprocess creation (tests run Serve in-process over
 	// pipes).
 	spawn func(i int) (workerIO, error)
@@ -111,7 +105,6 @@ func (w *workerProc) send(m message) error {
 // inflightJob accumulates one assignment's result stream until msgDone (or
 // the worker's death) closes done.
 type inflightJob struct {
-	key     string
 	done    chan struct{}
 	rm      campaign.RunManifest
 	reports []campaign.Report
@@ -343,7 +336,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *workerProc, j campaign.Job, 
 	id := c.nextID
 	c.mu.Unlock()
 
-	p := &inflightJob{key: j.Key(), done: make(chan struct{})}
+	p := &inflightJob{done: make(chan struct{})}
 	w.mu.Lock()
 	w.inflight[id] = p
 	w.mu.Unlock()
@@ -378,10 +371,9 @@ func (c *Coordinator) runOn(ctx context.Context, w *workerProc, j campaign.Job, 
 }
 
 // readLoop owns a worker's stdout: it routes report/done messages to their
-// in-flight assignment, collect replies to their waiting CollectCache, and
-// relays progress. When the pipe breaks it reaps the worker, fails its
-// in-flight assignment (triggering the requeue) and wakes every acquire
-// waiter.
+// in-flight assignment and collect replies to their waiting CollectCache.
+// When the pipe breaks it reaps the worker, fails its in-flight assignment
+// (triggering the requeue) and wakes every acquire waiter.
 func (c *Coordinator) readLoop(w *workerProc) {
 	for {
 		m, err := w.wire.read()
@@ -412,15 +404,6 @@ func (c *Coordinator) readLoop(w *workerProc) {
 				reply <- m.Entries // buffered: one reply per request
 			}
 			w.mu.Unlock()
-		case msgProgress:
-			if c.cfg.OnProgress != nil {
-				w.mu.Lock()
-				p := w.inflight[m.ID]
-				w.mu.Unlock()
-				if p != nil {
-					c.cfg.OnProgress(p.key, m.States, m.Classes)
-				}
-			}
 		default:
 			// Forward compatibility: ignore unknown uplink types.
 		}

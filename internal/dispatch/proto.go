@@ -13,7 +13,7 @@
 //     homed elsewhere rather than idling behind a straggler;
 //   - coordinator and workers speak a versioned JSONL protocol over the
 //     worker's stdin/stdout: the seed, jobs and collect requests flow down;
-//     reports, progress ticks, manifests and collect replies flow up.
+//     reports, manifests and collect replies flow up.
 //     stderr is passed through for human eyes;
 //   - a worker that crashes or closes its pipes mid-job has that job
 //     requeued on another live worker; only when every worker is gone does
@@ -54,8 +54,6 @@ const (
 	msgHello = "hello"
 	// msgJob assigns one job to a worker (coordinator → worker).
 	msgJob = "job"
-	// msgProgress is a live tick for the job in flight (worker → coordinator).
-	msgProgress = "progress"
 	// msgReport carries one Trojan report of the completed job, in canonical
 	// order (worker → coordinator).
 	msgReport = "report"
@@ -82,7 +80,7 @@ type message struct {
 	Campaign string `json:"campaign,omitempty"` // campaign.Version
 	Solver   string `json:"solver,omitempty"`   // solver.Version
 
-	// job / report / progress / done / collect routing. IDs start at 1 so a
+	// job / report / done / collect routing. IDs start at 1 so a
 	// zero ID always means "malformed".
 	ID int `json:"id,omitempty"`
 
@@ -90,10 +88,6 @@ type message struct {
 	Target      string `json:"target,omitempty"`
 	Mode        string `json:"mode,omitempty"`
 	Parallelism int    `json:"parallelism,omitempty"`
-
-	// progress
-	Classes int `json:"classes,omitempty"`
-	States  int `json:"states,omitempty"`
 
 	// report / done payloads
 	Report *campaign.Report      `json:"report,omitempty"`

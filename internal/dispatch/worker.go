@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"achilles/internal/campaign"
 	"achilles/internal/core"
@@ -145,7 +144,7 @@ type workerState struct {
 	wire *wire
 	sol  *solver.Solver
 
-	wmu sync.Mutex // serialises writes: job results, progress, collect replies
+	wmu sync.Mutex // serialises writes: job results, collect replies
 
 	seeded map[string]bool // keys the coordinator sent; reader goroutine only
 }
@@ -183,19 +182,10 @@ func (w *workerState) learned() []solver.CacheEntry {
 	return own
 }
 
-// runJob executes one assignment and streams the outcome: progress ticks
-// while exploring, then the canonical report stream and the completion
-// manifest.
+// runJob executes one assignment and streams the outcome: the canonical
+// report stream, then the completion manifest.
 func (w *workerState) runJob(ctx context.Context, id int, j campaign.Job, parallelism int) {
-	var classes atomic.Int64
-	obs := core.Observer{
-		OnTrojan: func(core.TrojanReport) { classes.Add(1) },
-		OnProgress: func(p core.Progress) {
-			// Best-effort: a lost progress tick must not fail the job.
-			w.send(message{Type: msgProgress, ID: id, States: p.StatesExplored, Classes: int(classes.Load())})
-		},
-	}
-	rm, reports := campaign.ExecuteJob(ctx, j, parallelism, w.sol, obs)
+	rm, reports := campaign.ExecuteJob(ctx, j, parallelism, w.sol, core.Observer{})
 	for i := range reports {
 		if err := w.send(message{Type: msgReport, ID: id, Report: &reports[i]}); err != nil {
 			return // pipe gone; the coordinator has already requeued us

@@ -74,8 +74,6 @@ func TestServeProtocolExchange(t *testing.T) {
 				t.Fatalf("done for wrong assignment: %+v", m)
 			}
 			done = m
-		case msgProgress:
-			// Optional ticks; frequency is the engine's business.
 		default:
 			t.Fatalf("unexpected message type %q", m.Type)
 		}

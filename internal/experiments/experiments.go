@@ -564,7 +564,7 @@ type CampaignScaling struct {
 	CPUs    int
 	// Solver holds the budget-1 campaign's manifest solver counters —
 	// deterministic at budget 1, guarded by the bench trajectory.
-	Solver campaign.Counters
+	Solver core.Counters
 }
 
 // RunCampaignScaling audits every registered target at each budget and

@@ -13,11 +13,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -353,6 +356,211 @@ func TestE2EAuditMatchesCLIBundle(t *testing.T) {
 	for _, rm := range manifest.Runs {
 		if rm.InputFingerprint != cliFP[rm.Key()] {
 			t.Fatalf("unit %s: daemon fingerprint %s != cli %s", rm.Key(), rm.InputFingerprint, cliFP[rm.Key()])
+		}
+	}
+
+	// The store address is the CLI bundle's content hash.
+	if want, err := cliBundle.ContentHash(); err != nil || final.Bundle != want {
+		t.Fatalf("daemon bundle hash %s, cli bundle hashes to %s (%v)", final.Bundle, want, err)
+	}
+}
+
+// TestE2EMultiTargetJobMatchesCampaign: a multi-target, multi-mode job runs
+// its units on cross-target lanes and still stores the bundle
+// campaign.RunCtx assembles for the same targets, modes and -j. Every unit
+// streams its three pipeline phases, and every trojan event carries the
+// unit that produced it even though the lanes interleave.
+func TestE2EMultiTargetJobMatchesCampaign(t *testing.T) {
+	_, ts := daemon(t, serve.Config{})
+	modes := []core.Mode{core.ModeOptimized, core.ModeAPosteriori}
+	for _, par := range []int{1, 2} {
+		body := fmt.Sprintf(`{"targets":["kv","kv-fixed","paxos"],"modes":["optimized","a-posteriori"],"parallelism":%d}`, par)
+		js := submit(t, ts, body, "lanes")
+		all := collectUntilDone(t, streamEvents(t, ts, js.EventsURL, nil), 60*time.Second)
+		final := terminalStatus(t, all)
+		if final.State != "done" || final.Parallelism != par {
+			t.Fatalf("-j %d: terminal status = %+v", par, final)
+		}
+
+		ref, err := campaign.RunCtx(context.Background(), campaign.Options{
+			Targets: []string{"kv", "kv-fixed", "paxos"},
+			Modes:   modes,
+			Jobs:    par,
+			Solver:  solver.Default(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := ref.ContentHash(); err != nil || final.Bundle != want {
+			t.Fatalf("-j %d: daemon bundle hash %s, campaign.RunCtx hashes to %s (%v)", par, final.Bundle, want, err)
+		}
+
+		phases := map[string]int{}
+		streamed := map[string][]string{}
+		for _, ev := range all {
+			var p struct{ Unit, Class string }
+			if ev.Name != "phase" && ev.Name != "trojan" {
+				continue
+			}
+			if err := json.Unmarshal(ev.Data, &p); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Name == "phase" {
+				phases[p.Unit]++
+			} else {
+				streamed[p.Unit] = append(streamed[p.Unit], p.Class)
+			}
+		}
+		for _, rm := range ref.Manifest.Runs {
+			if phases[rm.Key()] != 3 {
+				t.Errorf("-j %d: unit %s streamed %d phase events, want 3", par, rm.Key(), phases[rm.Key()])
+			}
+			want, _ := ref.ClassLines(rm.Key())
+			got := streamed[rm.Key()]
+			sort.Strings(got)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("-j %d: unit %s streamed trojans %q, its report stream holds %q", par, rm.Key(), got, want)
+			}
+			delete(phases, rm.Key())
+			delete(streamed, rm.Key())
+		}
+		if len(phases) != 0 || len(streamed) != 0 {
+			t.Errorf("-j %d: events tagged with units outside the plan: phases %v, trojans %v", par, phases, streamed)
+		}
+	}
+}
+
+// metric scrapes one sample from /metrics.
+func metric(t *testing.T, ts *httptest.Server, name string) int64 {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metrics lack %s:\n%s", name, body)
+	return 0
+}
+
+// TestE2ECancelWhileQueued: a job cancelled before it leaves the admission
+// queue still persists a complete, Interrupted bundle: every planned unit
+// is listed with an "interrupted:" error and its input fingerprint, and no
+// unit has a report stream. Units that never started are not counted as
+// cancelled sessions.
+func TestE2ECancelWhileQueued(t *testing.T) {
+	_, ts := daemon(t, serve.Config{Lookup: deepLookup, Workers: 1})
+
+	// The running job holds the whole one-worker budget.
+	running := submit(t, ts, `{"targets":["deep"]}`, "ahead")
+	runEvents := streamEvents(t, ts, running.EventsURL, nil)
+	for ev := range runEvents {
+		if ev.Name == "progress" {
+			break
+		}
+		if ev.Name == "done" {
+			t.Fatal("the running job finished before the queued one was submitted")
+		}
+	}
+
+	queued := submit(t, ts, `{"targets":["deep"],"modes":["optimized","no-differentfrom","a-posteriori"]}`, "behind")
+	if queued.State != "queued" {
+		t.Fatalf("second job on a full budget is %s, want queued", queued.State)
+	}
+	cr, err := ts.Client().Post(ts.URL+"/v1/jobs/"+queued.ID+"/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr.Body.Close()
+	all := collectUntilDone(t, streamEvents(t, ts, queued.EventsURL, nil), 30*time.Second)
+	for _, ev := range all {
+		if ev.Name == "phase" || ev.Name == "trojan" || strings.Contains(string(ev.Data), `"state":"running"`) {
+			t.Fatalf("a job cancelled while queued ran: %s %s", ev.Name, ev.Data)
+		}
+	}
+	final := terminalStatus(t, all)
+	if final.State != "cancelled" || final.Bundle == "" || final.Classes != 0 {
+		t.Fatalf("terminal status = %+v", final)
+	}
+
+	var manifest campaign.Manifest
+	if code := getJSON(t, ts, "/v1/bundles/"+final.Bundle, &manifest); code != http.StatusOK {
+		t.Fatalf("fetch manifest: HTTP %d", code)
+	}
+	if !manifest.Interrupted || len(manifest.Runs) != 3 {
+		t.Fatalf("queued-cancel manifest: interrupted=%v, %d runs", manifest.Interrupted, len(manifest.Runs))
+	}
+	d, _ := deepLookup("deep")
+	for _, rm := range manifest.Runs {
+		mode, err := core.ParseMode(rm.Mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(rm.Error, "interrupted: ") || rm.Classes != 0 {
+			t.Errorf("unit %s: error %q, %d classes; want interrupted with none", rm.Key(), rm.Error, rm.Classes)
+		}
+		if want := d.InputFingerprint(mode, campaign.Version); rm.InputFingerprint != want {
+			t.Errorf("unit %s: fingerprint %q, want %q", rm.Key(), rm.InputFingerprint, want)
+		}
+		if code := getJSON(t, ts, "/v1/bundles/"+final.Bundle+"/files/"+rm.ReportFile, nil); code != http.StatusNotFound {
+			t.Errorf("unit %s: report stream served with HTTP %d, want 404", rm.Key(), code)
+		}
+	}
+	if n := metric(t, ts, "achillesd_sessions_cancelled_total"); n != 0 {
+		t.Fatalf("units that never started counted as %d cancelled sessions", n)
+	}
+
+	// The running job's unit did start: cancelling it counts one session.
+	cr, err = ts.Client().Post(ts.URL+"/v1/jobs/"+running.ID+"/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr.Body.Close()
+	ahead := terminalStatus(t, collectUntilDone(t, runEvents, 30*time.Second))
+	want := int64(0)
+	if ahead.State == "cancelled" {
+		want = 1
+	}
+	if n := metric(t, ts, "achillesd_sessions_cancelled_total"); n != want {
+		t.Fatalf("job ended %s; sessions cancelled = %d, want %d", ahead.State, n, want)
+	}
+}
+
+// TestE2ERequestBudgets: max_states and first_trojan reach the analysis. A
+// 50-state budget on the 4,096-class deep target stores 50 classes, and the
+// first-trojan triage stores one; both units are flagged truncated.
+func TestE2ERequestBudgets(t *testing.T) {
+	_, ts := daemon(t, serve.Config{Lookup: deepLookup})
+	for _, tc := range []struct {
+		body    string
+		classes int
+	}{
+		{`{"targets":["deep"],"max_states":50}`, 50},
+		{`{"targets":["deep"],"first_trojan":true}`, 1},
+	} {
+		js := submit(t, ts, tc.body, "budgets")
+		final := terminalStatus(t, collectUntilDone(t, streamEvents(t, ts, js.EventsURL, nil), 60*time.Second))
+		if final.State != "done" || final.Classes != tc.classes {
+			t.Fatalf("%s: state %s, %d classes; want done with %d", tc.body, final.State, final.Classes, tc.classes)
+		}
+		if len(final.Units) != 1 || !final.Units[0].Truncated {
+			t.Fatalf("%s: units %+v, want one truncated unit", tc.body, final.Units)
+		}
+		var manifest campaign.Manifest
+		if code := getJSON(t, ts, "/v1/bundles/"+final.Bundle, &manifest); code != http.StatusOK {
+			t.Fatalf("%s: fetch manifest: HTTP %d", tc.body, code)
+		}
+		if rm := manifest.Runs[0]; !rm.Truncated || rm.Classes != tc.classes {
+			t.Fatalf("%s: manifest entry %+v", tc.body, rm)
 		}
 	}
 }

@@ -138,9 +138,10 @@ type progressEventPayload struct {
 	CacheHitRate  float64 `json:"cache_hit_rate"`
 }
 
-// unitObserver bridges the session Observer callbacks of one unit onto the
-// job's broadcaster. Callbacks fire synchronously from analysis workers, so
-// everything here must be non-blocking — publish is (drop-counted sends).
+// unitObserver bridges the Observer callbacks of one unit's analysis onto
+// the job's broadcaster. Callbacks fire synchronously from analysis
+// workers, so everything here must be non-blocking — publish is
+// (drop-counted sends).
 func unitObserver(j *job, unitKey string) core.Observer {
 	return core.Observer{
 		OnPhase: func(phase string) {

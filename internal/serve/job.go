@@ -3,13 +3,13 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
-	"achilles"
 	"achilles/internal/campaign"
 	"achilles/internal/core"
+	"achilles/internal/protocols/registry"
 )
 
 // Request is the submission body of POST /v1/jobs: which targets to audit,
@@ -22,7 +22,8 @@ type Request struct {
 	Modes []string `json:"modes,omitempty"`
 	// Parallelism is the worker count the job asks for; it is clamped to
 	// [1, the daemon's global -j budget] and the whole amount is leased from
-	// that budget while the job runs.
+	// that budget while the job runs, split across the job's units exactly
+	// as achilles-audit run -j splits its budget.
 	Parallelism int `json:"parallelism,omitempty"`
 	// MaxStates optionally bounds either engine's exploration (the runaway
 	// backstop); truncated units are flagged in the manifest.
@@ -41,14 +42,13 @@ const (
 	stateFailed    = "failed"    // the job itself failed (e.g. bundle store error)
 )
 
-// job is one submitted audit: a planned list of target×mode units run as
-// sequential achilles.Start sessions under a single worker lease.
+// job is one submitted audit: a planned campaign of target×mode units, run
+// as one campaign.RunCtx call under a single worker lease.
 type job struct {
 	id     string
 	client string
 	req    Request
-	units  []campaign.Job
-	par    int // granted parallelism (clamped request)
+	opts   campaign.Options // the planned campaign; Jobs is the granted parallelism
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -57,13 +57,13 @@ type job struct {
 
 	created time.Time
 
-	mu       sync.Mutex
-	state    string
-	err      string
-	runs     []campaign.RunManifest
-	classes  int
-	bundle   string // content hash once persisted
-	finished time.Time
+	mu      sync.Mutex
+	state   string
+	err     string
+	started map[string]bool // units whose analysis began
+	runs    []campaign.RunManifest
+	classes int
+	bundle  string // content hash once persisted
 }
 
 // UnitStatus is the wire shape of one target×mode unit in a job status.
@@ -93,223 +93,117 @@ type JobStatus struct {
 	EventsURL string `json:"events_url"`
 }
 
-// planJob validates a request against the daemon's catalog and expands it
-// into the deterministic (target, mode) unit list — the same canonical
-// order campaign.Plan produces, so a daemon bundle lines up with a CLI
-// bundle job for job.
-func (s *Server) planJob(req Request) ([]campaign.Job, int, error) {
+// planJob validates a request against the daemon's catalog and turns it
+// into the campaign options its job runs with. Every target resolves
+// through the daemon's lookup and travels as a campaign-local descriptor
+// carrying the request's budgets; campaign.Plan then canonicalises, sorts
+// and deduplicates the units exactly as it does for achilles-audit run.
+func (s *Server) planJob(req Request) (campaign.Options, error) {
 	if len(req.Targets) == 0 {
-		return nil, 0, fmt.Errorf("request selects no target")
+		return campaign.Options{}, fmt.Errorf("request selects no target")
 	}
 	if req.MaxStates < 0 {
-		return nil, 0, fmt.Errorf("max_states %d is negative", req.MaxStates)
+		return campaign.Options{}, fmt.Errorf("max_states %d is negative", req.MaxStates)
 	}
-	names := make([]string, len(req.Targets))
-	for i, n := range req.Targets {
+	opts := campaign.Options{Jobs: min(max(req.Parallelism, 1), s.cfg.Workers), Solver: s.solver}
+	for _, n := range req.Targets {
 		d, ok := s.lookup(n)
 		if !ok {
-			return nil, 0, fmt.Errorf("unknown target %q", n)
+			return campaign.Options{}, fmt.Errorf("unknown target %q", n)
 		}
-		names[i] = d.Name
+		opts.Targets = append(opts.Targets, d.Name)
+		opts.Extra = append(opts.Extra, withBudgets(d, req))
 	}
-	sort.Strings(names)
-	modes := []core.Mode{core.ModeOptimized}
-	if len(req.Modes) > 0 {
-		modes = modes[:0]
-		for _, name := range req.Modes {
-			if name == "" {
-				return nil, 0, fmt.Errorf("empty mode name")
-			}
-			m, err := core.ParseMode(name)
-			if err != nil {
-				return nil, 0, err
-			}
-			modes = append(modes, m)
+	for _, name := range req.Modes {
+		if name == "" {
+			return campaign.Options{}, fmt.Errorf("empty mode name")
+		}
+		m, err := core.ParseMode(name)
+		if err != nil {
+			return campaign.Options{}, err
+		}
+		opts.Modes = append(opts.Modes, m)
+	}
+	return opts, nil
+}
+
+// withBudgets applies a request's exploration budgets to a descriptor:
+// max_states caps both engines, as achilles.WithMaxStates does, and
+// first_trojan stops each unit at its first confirmed class.
+func withBudgets(d registry.Descriptor, req Request) registry.Descriptor {
+	if n := req.MaxStates; n > 0 {
+		target := d.Target
+		d.Target = func() core.Target {
+			t := target()
+			t.ServerExec.MaxStates = n
+			t.ClientExec.MaxStates = n
+			return t
 		}
 	}
-	var units []campaign.Job
-	seen := map[string]bool{}
-	for _, n := range names {
-		for _, m := range modes {
-			u := campaign.Job{Target: n, Mode: m}
-			if seen[u.Key()] {
-				continue
-			}
-			seen[u.Key()] = true
-			units = append(units, u)
-		}
+	if req.FirstTrojan {
+		d.Analysis.FirstTrojan = true
 	}
-	par := req.Parallelism
-	if par < 1 {
-		par = 1
-	}
-	if par > s.cfg.Workers {
-		par = s.cfg.Workers
-	}
-	return units, par, nil
+	return d
+}
+
+// observe is the job's campaign.Options.Observe hook: it marks the unit as
+// started and streams its events to the job's subscribers.
+func (j *job) observe(u campaign.Job) core.Observer {
+	j.mu.Lock()
+	j.started[u.Key()] = true
+	j.mu.Unlock()
+	return unitObserver(j, u.Key())
 }
 
 // runJob is the job goroutine: lease workers from the global budget, run
-// every unit as a session, persist the bundle, publish the terminal state.
+// the job's campaign, persist the bundle, publish the terminal state.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	defer s.releaseClient(j.client)
 
 	// Admission: the whole lease is granted atomically and FIFO (see wsem),
 	// so a queued job can never deadlock against another partial acquirer
-	// and never starves behind a stream of small jobs.
-	if err := s.sem.acquire(j.ctx, j.par); err != nil {
-		// Cancelled while queued: every planned unit is recorded as
-		// interrupted so the artifact stays complete.
-		runs := make([]campaign.RunManifest, 0, len(j.units))
-		for _, u := range j.units {
-			runs = append(runs, interruptedUnit(u, err))
-		}
-		s.finishJob(j, runs, nil, err)
-		return
+	// and never starves behind a stream of small jobs. A job cancelled while
+	// queued still makes the campaign call, under its cancelled context, so
+	// the engine records every planned unit as interrupted and the artifact
+	// stays complete.
+	if err := s.sem.acquire(j.ctx, j.opts.Jobs); err == nil {
+		defer s.sem.release(j.opts.Jobs)
+		s.setJobState(j, stateRunning)
 	}
-	defer s.sem.release(j.par)
-	s.setJobState(j, stateRunning)
-
-	runs := make([]campaign.RunManifest, 0, len(j.units))
-	reports := map[string][]campaign.Report{}
-	for _, u := range j.units {
-		rm, reps := s.runUnit(j, u)
-		runs = append(runs, rm)
-		if rm.Error == "" {
-			reports[u.Key()] = reps
-		}
-	}
-	s.finishJob(j, runs, reports, j.ctx.Err())
+	b, err := campaign.RunCtx(j.ctx, j.opts)
+	s.finishJob(j, b, err)
 }
 
-// interruptedUnit mirrors the campaign engine's manifest entry for a unit
-// the cancellation prevented from running.
-func interruptedUnit(u campaign.Job, cause error) campaign.RunManifest {
-	return campaign.RunManifest{
-		Target:     u.Target,
-		Mode:       u.Mode.String(),
-		ReportFile: u.ReportFile(),
-		Error:      "interrupted: " + cause.Error(),
-	}
-}
-
-// runUnit executes one target×mode analysis as a cancellable session on the
-// daemon's shared solver and converts the outcome into its manifest entry
-// and report stream — the exact conversion (campaign.ReportsFromRun) the
-// CLI campaign engine uses, which is what makes daemon bundles byte-
-// identical to achilles-audit bundles for the same inputs.
-func (s *Server) runUnit(j *job, u campaign.Job) (campaign.RunManifest, []campaign.Report) {
-	rm := campaign.RunManifest{
-		Target:     u.Target,
-		Mode:       u.Mode.String(),
-		ReportFile: u.ReportFile(),
-	}
-	d, ok := s.lookup(u.Target)
-	if !ok {
-		rm.Error = fmt.Sprintf("target %q disappeared from the catalog", u.Target)
-		return rm, nil
-	}
-	rm.InputFingerprint = d.InputFingerprint(u.Mode, campaign.Version)
-	if err := j.ctx.Err(); err != nil {
-		rm.Error = "interrupted: " + err.Error()
-		return rm, nil
-	}
-
-	aopts := d.Analysis
-	aopts.Mode = u.Mode
-	aopts.Parallelism = j.par
-	aopts.Solver = s.solver
-	opts := []achilles.Option{
-		achilles.WithAnalysisOptions(aopts),
-		achilles.WithObserver(unitObserver(j, u.Key())),
-	}
-	if j.req.MaxStates > 0 {
-		opts = append(opts, achilles.WithMaxStates(j.req.MaxStates))
-	}
-	if j.req.FirstTrojan {
-		opts = append(opts, achilles.WithFirstTrojan())
-	}
-
-	tgt := d.Target()
-	t0 := time.Now()
-	sess, err := achilles.Start(j.ctx, tgt, opts...)
-	if err != nil {
-		rm.Error = err.Error()
-		return rm, nil
-	}
-	run, err := sess.Wait()
-	rm.WallMS = time.Since(t0).Milliseconds()
-	if ctxErr := j.ctx.Err(); ctxErr != nil {
-		// A unit cut short mid-exploration is recorded as interrupted and its
-		// partial class set discarded — a stored bundle must never present a
-		// cut-short unit as that target's result (the campaign invariant).
-		s.metrics.sessionsCancelled.Add(1)
-		rm.Error = "interrupted: " + ctxErr.Error()
-		return rm, nil
-	}
-	if err != nil {
-		rm.Error = err.Error()
-		return rm, nil
-	}
-	rm.Classes = len(run.Analysis.Trojans)
-	rm.ClientPaths = len(run.Clients.Paths)
-	rm.Truncated = run.Truncated()
-	rm.Counters = campaign.Counters(run.Counters())
-	return rm, campaign.ReportsFromRun(tgt.FieldNames, run.Analysis.Trojans)
-}
-
-// finishJob assembles the bundle, persists it in the content-addressed
-// store, records the terminal state and closes done. Every publish happens
-// before done closes, so an SSE handler that sees done can drain its channel
-// and know the stream is complete.
-func (s *Server) finishJob(j *job, runs []campaign.RunManifest, reports map[string][]campaign.Report, ctxErr error) {
-	b := &campaign.Bundle{
-		Manifest: campaign.Manifest{
-			FormatVersion: campaign.FormatVersion,
-			Tool:          campaign.Version,
-			Jobs:          j.par,
-			CreatedAt:     time.Now().UTC().Format(time.RFC3339),
-			WallMS:        time.Since(j.created).Milliseconds(),
-			Interrupted:   ctxErr != nil,
-			Runs:          runs,
-		},
-		Reports: map[string][]campaign.Report{},
-	}
-	classes := 0
-	for _, rm := range runs {
-		if rm.Error == "" {
-			classes += rm.Classes
-			b.Reports[rm.Key()] = reports[rm.Key()]
-		}
-	}
-	st := s.solver.Stats()
-	b.Manifest.Solver = campaign.Counters{
-		"queries":      int64(st.Queries),
-		"cache_hits":   int64(st.CacheHits),
-		"cache_misses": int64(st.CacheMisses),
-		"unknowns":     int64(st.Unknowns),
-	}
-
-	state := stateDone
-	var jobErr string
-	if ctxErr != nil {
+// finishJob persists the campaign's bundle in the content-addressed store,
+// records the terminal state and closes done. Every publish happens before
+// done closes, so an SSE handler that sees done can drain its channel and
+// know the stream is complete.
+func (s *Server) finishJob(j *job, b *campaign.Bundle, runErr error) {
+	state, jobErr, hash := stateDone, "", ""
+	if runErr != nil {
 		state = stateCancelled
 	}
-	hash, err := s.store.Put(b)
-	if err != nil {
+	if b == nil {
+		// Only an invalid plan returns no bundle, and planJob refuses those.
+		state, jobErr, b = stateFailed, runErr.Error(), &campaign.Bundle{}
+	} else if h, err := s.store.Put(b); err != nil {
 		state, jobErr = stateFailed, fmt.Sprintf("persist bundle: %v", err)
 	} else {
+		hash = h
 		s.metrics.bundlesStored.Add(1)
 	}
 
 	j.mu.Lock()
-	j.state = state
-	j.err = jobErr
-	j.runs = runs
-	j.classes = classes
-	j.bundle = hash
-	j.finished = time.Now()
+	classes := 0
+	for _, rm := range b.Manifest.Runs {
+		classes += rm.Classes
+		// Count units cut short after they started, not units that never ran.
+		if strings.HasPrefix(rm.Error, "interrupted") && j.started[rm.Key()] {
+			s.metrics.sessionsCancelled.Add(1)
+		}
+	}
+	j.state, j.err, j.runs, j.classes, j.bundle = state, jobErr, b.Manifest.Runs, classes, hash
 	j.mu.Unlock()
 
 	switch state {
@@ -345,7 +239,7 @@ func (s *Server) jobStatus(j *job) JobStatus {
 		State:       j.state,
 		Targets:     append([]string{}, j.req.Targets...),
 		Modes:       append([]string{}, j.req.Modes...),
-		Parallelism: j.par,
+		Parallelism: j.opts.Jobs,
 		CreatedAt:   j.created.UTC().Format(time.RFC3339),
 		Classes:     j.classes,
 		Bundle:      j.bundle,

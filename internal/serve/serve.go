@@ -3,17 +3,19 @@
 // multi-tenant service.
 //
 // Clients submit audit jobs (targets, modes, session options as JSON) and
-// get back a job ID; the daemon multiplexes many concurrent achilles.Start
-// sessions under one global worker budget (a FIFO all-or-nothing lease over
-// the -j knob, so jobs queue instead of oversubscribing and a wide job is
-// never starved), streams phase/trojan/progress events to any number of
-// clients as server-sent events (the Session Observer plumbing maps 1:1
-// onto SSE), enforces per-client concurrent-job quotas with backpressure
-// (429 + Retry-After), and persists every finished run as an ordinary
-// versioned audit bundle in a content-addressed store — byte-identical to
-// what achilles-audit run writes for the same inputs, which extends the
-// standing determinism invariant to the wire. /healthz and Prometheus-style
-// /metrics make it operable behind a load balancer.
+// get back a job ID. Each job is one campaign.RunCtx call — the engine
+// behind achilles-audit run — on the daemon's shared solver, admitted under
+// one global worker budget (a FIFO all-or-nothing lease over the -j knob,
+// so jobs queue instead of oversubscribing and a wide job is never starved)
+// and split into cross-target lanes inside its lease as the CLI splits -j.
+// The daemon streams phase/trojan/progress events to any number of clients
+// as server-sent events (the campaign's per-unit Observer maps 1:1 onto
+// SSE), enforces per-client concurrent-job quotas with backpressure (429 +
+// Retry-After), and persists every finished run in a content-addressed
+// store. Because the same engine plans, runs and assembles the bundle, it
+// is byte-identical to what achilles-audit run writes for the same inputs,
+// which extends the standing determinism invariant to the wire. /healthz
+// and Prometheus-style /metrics make it operable behind a load balancer.
 //
 // Endpoints:
 //
@@ -237,7 +239,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "malformed request: "+err.Error())
 		return
 	}
-	units, par, err := s.planJob(req)
+	opts, err := s.planJob(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -267,15 +269,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		id:      id,
 		client:  client,
 		req:     req,
-		units:   units,
-		par:     par,
+		opts:    opts,
 		ctx:     ctx,
 		cancel:  cancel,
 		bcast:   newBroadcaster(s.cfg.EventBuffer, &s.metrics.eventDrops),
 		done:    make(chan struct{}),
 		created: time.Now(),
 		state:   stateQueued,
+		started: map[string]bool{},
 	}
+	j.opts.Observe = j.observe
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.wg.Add(1)

@@ -307,7 +307,15 @@ func TestPlanJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, par, err := s.planJob(Request{Targets: []string{"beta", "a", "alpha"}, Parallelism: 99})
+	plan := func(req Request) ([]campaign.Job, int, error) {
+		opts, err := s.planJob(req)
+		if err != nil {
+			return nil, 0, err
+		}
+		units, err := campaign.Plan(opts)
+		return units, opts.Jobs, err
+	}
+	units, par, err := plan(Request{Targets: []string{"beta", "a", "alpha"}, Parallelism: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +330,7 @@ func TestPlanJob(t *testing.T) {
 		t.Fatalf("parallelism clamped to %d, want the 4-worker budget", par)
 	}
 
-	units, par, err = s.planJob(Request{Targets: []string{"alpha"}, Modes: []string{"optimized", "a-posteriori", "optimized"}})
+	units, par, err = plan(Request{Targets: []string{"alpha"}, Modes: []string{"optimized", "a-posteriori", "optimized"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +347,7 @@ func TestPlanJob(t *testing.T) {
 		{Targets: []string{"alpha"}, Modes: []string{"warp"}},
 		{Targets: []string{"alpha"}, MaxStates: -5},
 	} {
-		if _, _, err := s.planJob(bad); err == nil {
+		if _, err := s.planJob(bad); err == nil {
 			t.Errorf("planJob(%+v) accepted an invalid request", bad)
 		}
 	}

@@ -66,8 +66,8 @@ type config struct {
 // Option configures a Session (functional options for Start).
 type Option func(*config)
 
-// WithAnalysisOptions seeds the full AnalysisOptions struct — the migration
-// bridge from the v1 API and the registry's per-target defaults. It replaces
+// WithAnalysisOptions seeds the full AnalysisOptions struct — the bridge
+// from the registry's per-target defaults. It replaces
 // everything set so far, so pass it first and layer the other options on
 // top. (An Observer carried in the struct composes with WithObserver ones;
 // FirstTrojan and ProgressInterval are kept as given unless overridden.)

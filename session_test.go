@@ -164,7 +164,11 @@ func TestSessionDeadline(t *testing.T) {
 // marked Truncated, without an error, and faster paths than the full walk.
 func TestSessionFirstTrojan(t *testing.T) {
 	tgt := sessionTarget(t)
-	full, err := achilles.Run(tgt, achilles.AnalysisOptions{Parallelism: 4})
+	ref, err := achilles.Start(context.Background(), tgt, achilles.WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := ref.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
