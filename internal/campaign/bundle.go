@@ -35,9 +35,12 @@ type Manifest struct {
 	Jobs          int    `json:"jobs"`       // the global -j budget
 	WallMS        int64  `json:"wall_ms"`    // end-to-end campaign wall time
 
-	// Solver is the shared solver's cumulative statistics for the whole
-	// campaign (per-job solver_* counters are snapshots of the same shared
-	// solver and therefore cumulative too).
+	// Solver is the work this campaign added to its solver: the solver's
+	// statistics at the end of the run minus those before its first job.
+	// A fresh solver (the CLI's) counts the whole campaign; a shared one
+	// (achillesd's) counts this run only, except that two runs overlapping
+	// on one solver each count the other's work during the overlap. Per-job
+	// solver_* counters are cumulative snapshots of the shared solver.
 	Solver Counters `json:"solver,omitempty"`
 
 	// Baseline records where reused reports came from (the -baseline dir)

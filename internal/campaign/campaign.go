@@ -176,7 +176,7 @@ func Plan(opts Options) ([]Job, error) {
 
 // Run executes the campaign and returns the in-memory bundle. The job graph
 // runs on min(Jobs, jobs-to-run) pool workers; the global budget is split
-// across them with the remainder distributed (splitBudget), so the campaign
+// across them with the remainder distributed (SplitBudget), so the campaign
 // runs ~Jobs analysis workers in total and never floors slots away. Because
 // the per-job Trojan class set is parallelism-independent (the core
 // contract), the bundle's class sets are identical for every Jobs value.
@@ -220,6 +220,9 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 	if sol == nil {
 		sol = solver.Default()
 	}
+	// A shared solver (the daemon's) carries earlier runs' work: the
+	// manifest counts only what this run adds.
+	before := sol.Stats()
 
 	b := &Bundle{
 		Manifest: Manifest{
@@ -317,12 +320,12 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 	}
 	st := sol.Stats()
 	b.Manifest.Solver = Counters{
-		"queries":         int64(st.Queries),
-		"cache_hits":      int64(st.CacheHits),
-		"cache_misses":    int64(st.CacheMisses),
-		"unknowns":        int64(st.Unknowns),
-		"reverified":      int64(st.Reverified),
-		"reverify_failed": int64(st.ReverifyFailed),
+		"queries":         int64(st.Queries - before.Queries),
+		"cache_hits":      int64(st.CacheHits - before.CacheHits),
+		"cache_misses":    int64(st.CacheMisses - before.CacheMisses),
+		"unknowns":        int64(st.Unknowns - before.Unknowns),
+		"reverified":      int64(st.Reverified - before.Reverified),
+		"reverify_failed": int64(st.ReverifyFailed - before.ReverifyFailed),
 	}
 	return b, ctx.Err()
 }
@@ -378,12 +381,13 @@ func reuseFromBaseline(base *Bundle, j Job, fp string) (RunManifest, []Report, b
 	return RunManifest{}, nil, false
 }
 
-// splitBudget distributes the global -j budget over the pool workers:
+// SplitBudget distributes the global -j budget over the pool workers:
 // every worker gets budget/workers, and the remainder lands on the first
 // budget%workers workers — so a -j 8 campaign over 5 jobs runs 2+2+2+1+1
 // analysis workers instead of flooring every job to 1 and idling 3 slots.
-// The returned slice sums to exactly max(budget, workers).
-func splitBudget(budget, workers int) []int {
+// The returned slice sums to exactly max(budget, workers). Every execution
+// backend's Negotiate splits its grants with it.
+func SplitBudget(budget, workers int) []int {
 	out := make([]int, workers)
 	if workers == 0 {
 		return out

@@ -83,13 +83,13 @@ func NewLocalExecutor(opts Options, sol *solver.Solver) *LocalExecutor {
 
 // Negotiate reproduces the historical pool sizing: min(budget, pending)
 // lanes, with the budget's remainder distributed so no slot is floored away
-// (splitBudget).
+// (SplitBudget).
 func (e *LocalExecutor) Negotiate(budget int, pending []PlannedJob) []int {
 	lanes := budget
 	if lanes > len(pending) {
 		lanes = len(pending)
 	}
-	return splitBudget(budget, lanes)
+	return SplitBudget(budget, lanes)
 }
 
 // Run executes one job in-process with the lane's parallelism grant and the

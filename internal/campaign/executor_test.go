@@ -1,7 +1,7 @@
 package campaign
 
 // Executor-seam coverage: the budget-negotiation contract under the new
-// backend interface (splitBudget edge cases the distributed refactor made
+// backend interface (SplitBudget edge cases the distributed refactor made
 // load-bearing), the local backend's equivalence with the historical
 // in-process engine, and the engine's behavior under a custom backend.
 
@@ -15,7 +15,7 @@ import (
 	"achilles/internal/solver"
 )
 
-// TestSplitBudgetExecutorEdgeCases pins splitBudget under the executor seam
+// TestSplitBudgetExecutorEdgeCases pins SplitBudget under the executor seam
 // for the degenerate shapes a backend can legally negotiate: more lanes than
 // budget (every lane still gets one slot — no zero-starved lane), a zero
 // budget (clamped up to one slot per lane rather than handing out zeros),
@@ -39,14 +39,14 @@ func TestSplitBudgetExecutorEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := splitBudget(c.budget, c.workers)
+			got := SplitBudget(c.budget, c.workers)
 			if !slices.Equal(got, c.want) {
-				t.Fatalf("splitBudget(%d, %d) = %v, want %v", c.budget, c.workers, got, c.want)
+				t.Fatalf("SplitBudget(%d, %d) = %v, want %v", c.budget, c.workers, got, c.want)
 			}
 			sum := 0
 			for _, g := range got {
 				if g < 1 {
-					t.Fatalf("splitBudget(%d, %d): zero-starved worker in %v", c.budget, c.workers, got)
+					t.Fatalf("SplitBudget(%d, %d): zero-starved worker in %v", c.budget, c.workers, got)
 				}
 				sum += g
 			}
@@ -55,7 +55,7 @@ func TestSplitBudgetExecutorEdgeCases(t *testing.T) {
 				wantSum = c.workers
 			}
 			if sum != wantSum {
-				t.Fatalf("splitBudget(%d, %d) sums to %d, want %d", c.budget, c.workers, sum, wantSum)
+				t.Fatalf("SplitBudget(%d, %d) sums to %d, want %d", c.budget, c.workers, sum, wantSum)
 			}
 		})
 	}

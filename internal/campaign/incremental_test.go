@@ -171,20 +171,20 @@ func TestSplitBudget(t *testing.T) {
 		{4, 0, []int{}},
 	}
 	for _, c := range cases {
-		got := splitBudget(c.budget, c.workers)
+		got := SplitBudget(c.budget, c.workers)
 		if !slices.Equal(got, c.want) {
-			t.Errorf("splitBudget(%d, %d) = %v, want %v", c.budget, c.workers, got, c.want)
+			t.Errorf("SplitBudget(%d, %d) = %v, want %v", c.budget, c.workers, got, c.want)
 			continue
 		}
 		sum := 0
 		for _, v := range got {
 			sum += v
 			if v < 1 {
-				t.Errorf("splitBudget(%d, %d): worker with %d slots", c.budget, c.workers, v)
+				t.Errorf("SplitBudget(%d, %d): worker with %d slots", c.budget, c.workers, v)
 			}
 		}
 		if c.workers > 0 && c.workers <= c.budget && sum != c.budget {
-			t.Errorf("splitBudget(%d, %d) sums to %d, want the full budget", c.budget, c.workers, sum)
+			t.Errorf("SplitBudget(%d, %d) sums to %d, want the full budget", c.budget, c.workers, sum)
 		}
 	}
 }

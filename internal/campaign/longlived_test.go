@@ -129,3 +129,26 @@ func TestFreshSolverAuditsStayUnderMemoBound(t *testing.T) {
 		t.Fatalf("the fsp-rich session reset the memo: %+v", st)
 	}
 }
+
+// TestManifestCountsOnlyItsOwnSolverWork runs the kv pair twice on one
+// solver, as achillesd runs its jobs: the second manifest must count its own
+// queries — as many as the first run asked, every one answered from the warm
+// cache — not the solver's totals since it was built.
+func TestManifestCountsOnlyItsOwnSolverWork(t *testing.T) {
+	opts := Options{Targets: []string{"kv", "kv-fixed"}, Jobs: 1, Solver: solver.Default()}
+	first, err := RunCtx(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := RunCtx(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := first.Manifest.Solver, second.Manifest.Solver
+	if want["queries"] == 0 || want["cache_misses"] == 0 {
+		t.Fatalf("first run on a fresh solver counts no solver work: %v", want)
+	}
+	if got["queries"] != want["queries"] || got["cache_misses"] != 0 {
+		t.Fatalf("second run counts %v, want queries %d and cache_misses 0", got, want["queries"])
+	}
+}

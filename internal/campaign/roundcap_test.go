@@ -10,9 +10,9 @@ import (
 	"achilles/internal/solver"
 )
 
-// TestAuditsNeverHitPropagationRoundCap pins the assumption that makes prefix
-// seeding exact (internal/solver/prefix.go): the propagation round cap never
-// stops a run on a real workload. The 13-target fleet in all three modes and
+// TestAuditsNeverHitPropagationRoundCap pins the assumption that makes the
+// solver's split-gate feasible memo exact (internal/solver/learn.go): the
+// propagation round cap never stops a run on a real workload. The 13-target fleet in all three modes and
 // the rich FSP corpus, both at -j 1, must report no cap hit.
 func TestAuditsNeverHitPropagationRoundCap(t *testing.T) {
 	fleet := solver.Default()

@@ -440,7 +440,7 @@ func (a *analysis) triggerable(st *symexec.State, i int, m expr.Env, cond *expr.
 	if a.witnessed(st, m, cond, bind) {
 		return true, m
 	}
-	res, model := a.sol.CheckPrefixAllCtx(a.runCtx, st.SolverPrefix(), bind)
+	res, model := a.sol.CheckPrefixCtx(a.runCtx, st.SolverPrefix(), bind...)
 	return res != solver.Unsat, model
 }
 
@@ -595,7 +595,7 @@ func (a *analysis) trojanPossible(st *symexec.State, d *liveData, cond *expr.Exp
 	if a.witnessed(st, d.trojan, cond, negs) {
 		return true
 	}
-	res, model := a.sol.CheckPrefixAllCtx(a.runCtx, st.SolverPrefix(), negs)
+	res, model := a.sol.CheckPrefixCtx(a.runCtx, st.SolverPrefix(), negs...)
 	d.trojan = model
 	return res != solver.Unsat
 }
@@ -654,7 +654,7 @@ func (a *analysis) reportIfTrojan(st *symexec.State, live []int) {
 	for _, neg := range negs {
 		witness = expr.And(witness, neg)
 	}
-	res, model := a.sol.CheckPrefixAllCtx(a.runCtx, st.SolverPrefix(), negs)
+	res, model := a.sol.CheckPrefixCtx(a.runCtx, st.SolverPrefix(), negs...)
 	if res != solver.Sat {
 		a.filtered()
 		return

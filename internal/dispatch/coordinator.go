@@ -230,28 +230,7 @@ func (c *Coordinator) Negotiate(budget int, pending []campaign.PlannedJob) []int
 	if lanes > len(pending) {
 		lanes = len(pending)
 	}
-	return splitGrants(budget, lanes)
-}
-
-// splitGrants mirrors the campaign engine's splitBudget: budget/lanes each,
-// remainder on the first lanes, floor of one slot per lane.
-func splitGrants(budget, lanes int) []int {
-	out := make([]int, lanes)
-	if lanes == 0 {
-		return out
-	}
-	base := budget / lanes
-	extra := budget % lanes
-	if base < 1 {
-		base, extra = 1, 0
-	}
-	for i := range out {
-		out[i] = base
-		if i < extra {
-			out[i]++
-		}
-	}
-	return out
+	return campaign.SplitBudget(budget, lanes)
 }
 
 // Run implements campaign.Executor: ship the job to a free worker —

@@ -97,8 +97,6 @@ func (s *Speedup) Report() (BenchReport, error) {
 		{Name: "solver_splits", Value: float64(st.Splits), Unit: "splits", Guard: true},
 		{Name: "solver_unknowns", Value: float64(st.Unknowns), Unit: "queries", Guard: true},
 		{Name: "solver_propagations", Value: float64(st.Propagations), Unit: "steps", Guard: true},
-		{Name: "learned_sets", Value: float64(st.LearnedSets), Unit: "sets"},
-		{Name: "learned_hits", Value: float64(st.LearnedHits), Unit: "hits"},
 		{Name: "interned_terms", Value: float64(st.Interned), Unit: "terms"},
 		{Name: "total_ms", Value: ms(seq.Total), Unit: "ms"},
 		{Name: "server_ms", Value: ms(seq.Server), Unit: "ms"},

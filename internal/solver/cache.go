@@ -64,55 +64,10 @@ func queryKey(constraints []*expr.Expr) string {
 	return b.String()
 }
 
-// queryKeyInterned is queryKey assembled from interned entries: the cached
-// renderings are sorted and joined exactly as queryKey sorts and joins fresh
-// renderings, so the two produce byte-identical keys for the same query —
-// in-memory and persisted caches keep their historical key format.
-func queryKeyInterned(entries []*internEntry) string {
-	parts := make([]string, len(entries))
-	n := 0
-	for i, en := range entries {
-		parts[i] = en.render
-		n += len(parts[i]) + 1
-	}
-	sort.Strings(parts)
-	var b strings.Builder
-	b.Grow(n)
-	for _, p := range parts {
-		b.WriteString(p)
-		b.WriteByte(0)
-	}
-	return b.String()
-}
-
-// queryKeySortedPlus assembles the same key as queryKeyInterned from an
-// already-sorted render list plus one extra render, inserting the extra at
-// its sorted position — O(n) assembly instead of a per-query sort. Callers
-// (prefix queries) maintain the sorted list incrementally.
-func queryKeySortedPlus(sorted []string, extra string) string {
-	idx := sort.SearchStrings(sorted, extra)
-	n := len(extra) + 1
-	for _, p := range sorted {
-		n += len(p) + 1
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, p := range sorted[:idx] {
-		b.WriteString(p)
-		b.WriteByte(0)
-	}
-	b.WriteString(extra)
-	b.WriteByte(0)
-	for _, p := range sorted[idx:] {
-		b.WriteString(p)
-		b.WriteByte(0)
-	}
-	return b.String()
-}
-
-// queryKeySortedMerge assembles the queryKeyInterned key for the multiset
-// union of two individually sorted render lists — a linear merge instead of
-// a full re-sort. Both inputs must already be sorted.
+// queryKeySortedMerge assembles the queryKey key for the multiset union of
+// two individually sorted render lists — a linear merge instead of a full
+// re-sort. Both inputs must already be sorted. Every query's key is built
+// here (Prefix.key).
 func queryKeySortedMerge(a, b []string) string {
 	n := 0
 	for _, p := range a {

@@ -5,9 +5,8 @@ package solver_test
 // Unknown and on returned models over a large corpus of random formulas.
 // The suite runs the shared-state solver deliberately — one Solver instance
 // across all queries, and concurrently in the sharded variant — so the
-// cross-query machinery (arena, learned sets, propOK memo, verdict cache,
-// prefix seeding) is exactly what is being exercised against the stateless
-// reference.
+// cross-query machinery (arena, propOK memo, verdict cache, prefix handles)
+// is exactly what is being exercised against the stateless reference.
 
 import (
 	"context"
@@ -96,32 +95,41 @@ func TestSolverDifferential(t *testing.T) {
 }
 
 // TestSolverDifferentialPrefix differentially tests incremental prefix
-// solving: a prefix built constraint-by-constraint plus a final condition
-// must answer exactly like the reference on the materialised slice, and
-// Prefix.Implies may only ever short-circuit to the solver's own verdict.
+// solving: a prefix built constraint-by-constraint plus the remaining
+// conditions must answer exactly like the reference on the materialised
+// slice, and Prefix.Implies may only ever short-circuit to the solver's own
+// verdict. Each prefix shape — one final condition, and the suffix after a
+// random cut — runs on its own solver, so neither answers from the other's
+// cache, and each solver's exported cache keys must be exactly queryKey of
+// the formulas it was asked: cache files written before keys were built
+// from prefixes keep hitting.
 func TestSolverDifferentialPrefix(t *testing.T) {
 	n := 4000
 	if testing.Short() {
 		n = 500
 	}
-	s := solver.New(diffOpts)
+	single := solver.New(diffOpts)
+	multi := solver.New(diffOpts)
 	ref := solver.NewReference(diffOpts)
 	r := rand.New(rand.NewSource(diffSeed + 1))
 	opts := fuzz.DefaultFormulaOptions()
 	opts.MaxConstraints = 5
+	ctx := context.Background()
+	asked := map[string]bool{}
 	for i := 0; i < n; i++ {
 		f := fuzz.Formula(r, opts)
 		if len(f) < 2 {
 			continue
 		}
-		p := s.NewPrefix()
+		asked[solver.QueryKey(f)] = true
+		p := single.NewPrefix()
 		for _, c := range f[:len(f)-1] {
 			p = p.Extend(c)
 		}
 		cond := f[len(f)-1]
 		refRes, refModel := ref.Check(f)
 
-		res, model := s.CheckPrefix(p, cond)
+		res, model := single.CheckPrefixCtx(ctx, p, cond)
 		if res != refRes {
 			t.Fatalf("prefix verdict divergence on %v:\n  prefix    = %v\n  reference = %v", f, res, refRes)
 		}
@@ -131,11 +139,11 @@ func TestSolverDifferentialPrefix(t *testing.T) {
 
 		// Multi-condition variant: split the suffix at a random point.
 		cut := 1 + r.Intn(len(f)-1)
-		pp := s.NewPrefix()
+		pp := multi.NewPrefix()
 		for _, c := range f[:cut] {
 			pp = pp.Extend(c)
 		}
-		allRes, allModel := s.CheckPrefixAllCtx(context.Background(), pp, f[cut:])
+		allRes, allModel := multi.CheckPrefixCtx(ctx, pp, f[cut:]...)
 		if allRes != refRes {
 			t.Fatalf("prefix-all verdict divergence on %v (cut %d): prefix-all = %v, reference = %v", f, cut, allRes, refRes)
 		}
@@ -151,12 +159,26 @@ func TestSolverDifferentialPrefix(t *testing.T) {
 			}
 		}
 	}
+	for name, s := range map[string]*solver.Solver{"single-condition": single, "multi-condition": multi} {
+		entries, err := s.ExportCache()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(asked) {
+			t.Errorf("%s prefixes: exported %d cache keys for %d distinct formulas", name, len(entries), len(asked))
+		}
+		for _, e := range entries {
+			if !asked[e.Key] {
+				t.Fatalf("%s prefixes: exported key %q is not queryKey of any formula asked", name, e.Key)
+			}
+		}
+	}
 }
 
 // TestSolverDifferentialConcurrent shards the corpus over 8 goroutines that
 // share ONE fast solver — the configuration the analysis engines run — and
 // compares every query against per-goroutine references. Run under -race in
-// CI, this is the concurrency gate for the arena/learned-set/propOK state.
+// CI, this is the concurrency gate for the arena/propOK state.
 func TestSolverDifferentialConcurrent(t *testing.T) {
 	const workers = 8
 	n := 500 // per worker

@@ -13,8 +13,8 @@ package solver
 // Entries also carry a stable per-solver ID. IDs order by first-intern time,
 // which is scheduling-dependent under concurrent analysis workers — they are
 // therefore never persisted and never compared across solvers; their only
-// uses are set-membership keys (learned conflict sets, prefix subsumption),
-// which are order-insensitive.
+// uses are set-membership keys (the split-gate feasible memo, prefix
+// subsumption), which are order-insensitive.
 //
 // Unification is structural: hash buckets resolved with expr.Equal are the
 // only source of truth, so two structurally equal trees always map to one
@@ -25,12 +25,11 @@ package solver
 // a campaign's) builds fresh trees, so the memo is cleared once it has taken
 // memoCap new entries. A reset costs time only: a cleared pointer re-resolves
 // through the hash buckets to the same entry — same ID, rendering,
-// linearisation and ckeyID — so no verdict, model, cache key or learned-set
+// linearisation and ckeyID — so no verdict, model, cache key or feasible-memo
 // key can change.
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -152,33 +151,18 @@ func (s *Solver) internAll(constraints []*expr.Expr) []*internEntry {
 	return out
 }
 
-// mergeVars returns the sorted union of base (sorted, duplicate-free) and the
-// entries' variable names — the same list expr.VarsOf computes by walking the
-// trees, assembled from the cached per-entry sorted lists instead. When the
-// entries name nothing outside base, base itself is returned: variable
-// tables are read-only, so a query over its prefix's variables shares the
-// prefix's table.
-func mergeVars(base []string, entries []*internEntry) []string {
-	var added []string
+// varTable returns the sorted, duplicate-free union of the entries'
+// variable names — the list expr.VarsOf computes by walking the trees,
+// assembled from the cached per-entry lists instead.
+func varTable(entries []*internEntry) []string {
+	n := 0
 	for _, en := range entries {
-		for _, v := range en.vars {
-			if i := sort.SearchStrings(base, v); (i == len(base) || base[i] != v) && !slices.Contains(added, v) {
-				added = append(added, v)
-			}
-		}
+		n += len(en.vars)
 	}
-	if len(added) == 0 {
-		return base
+	out := make([]string, 0, n)
+	for _, en := range entries {
+		out = append(out, en.vars...)
 	}
-	slices.Sort(added)
-	out := make([]string, 0, len(base)+len(added))
-	i := 0
-	for _, v := range added {
-		for i < len(base) && base[i] < v {
-			out = append(out, base[i])
-			i++
-		}
-		out = append(out, v)
-	}
-	return append(out, base[i:]...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -44,9 +44,9 @@ func askMemo(s *Solver, qs [][]*expr.Expr) []memoOutcome {
 	for i, q := range qs {
 		o := &out[i]
 		o.res, o.model = s.Check(q)
-		o.key = queryKeyInterned(s.internAll(q))
+		o.key = emptyPrefix.key(s.internAll(q))
 		p := s.NewPrefix().Extend(q[0])
-		o.prefixRes, o.prefixModel = s.CheckPrefixAllCtx(context.Background(), p, q[1:])
+		o.prefixRes, o.prefixModel = s.CheckPrefixCtx(context.Background(), p, q[1:]...)
 		o.holds, o.decided = p.Implies(q[len(q)-1])
 	}
 	return out

@@ -1,7 +1,7 @@
 package solver
 
 // Cache-invalidation coverage for the fast path (issue 7, satellite S4).
-// The learned-conflict index and the intern arena are keyed by per-solver,
+// The split-gate feasible memo and the intern arena are keyed by per-solver,
 // scheduling-dependent IDs, so they must never travel across a
 // solver.Version bump: only verdicts are persisted, an old-version file is
 // refused wholesale, and a refused load leaves the live solver's fast-path
@@ -39,7 +39,7 @@ func staleVersionFile(t *testing.T, format int, solverVersion string) (string, [
 
 // TestCacheRefusedAcrossVersionBumps: every historical or foreign revision
 // is refused with ErrCacheVersion, zero entries merge, and the refused load
-// leaves the solver's fast-path state (arena, learned index) pristine — a
+// leaves the solver's fast-path state (arena, feasible memo) pristine — a
 // version bump can never smuggle state from the previous decision procedure.
 func TestCacheRefusedAcrossVersionBumps(t *testing.T) {
 	cases := []struct {
@@ -66,8 +66,8 @@ func TestCacheRefusedAcrossVersionBumps(t *testing.T) {
 				t.Fatalf("merged %d entries from a refused file", n)
 			}
 			// No leakage: the refused load must not have interned the stale
-			// query's terms or seeded the learned index.
-			if st := s.Stats(); st.Interned != 0 || st.LearnedSets != 0 || st.CacheHits != 0 {
+			// query's terms.
+			if st := s.Stats(); st.Interned != 0 || st.CacheHits != 0 {
 				t.Fatalf("refused load left fast-path state behind: %+v", st)
 			}
 			// The stale Unsat verdict must not be served.
@@ -78,40 +78,34 @@ func TestCacheRefusedAcrossVersionBumps(t *testing.T) {
 	}
 }
 
-// TestLearnedVerdictRoundTrip: verdicts whose Unsat proof came from the
-// learned-conflict index round-trip through SaveCache/LoadCache like any
-// other verdict — and ONLY the verdict travels: the fresh solver starts with
-// an empty learned index and re-derives (or re-learns) its own refutations.
-func TestLearnedVerdictRoundTrip(t *testing.T) {
+// TestRefutedVerdictRoundTrip: an Unsat verdict the budget-free refutation
+// layer proved, with no search, round-trips through SaveCache/LoadCache like
+// any other verdict — and ONLY the verdict travels: the file carries no
+// interned IDs or other per-solver state.
+func TestRefutedVerdictRoundTrip(t *testing.T) {
 	warm := Default()
 	x, y := v("x"), v("y")
 	contraX := expr.And(expr.Gt(x, c(0)), expr.Lt(x, c(-5)))
 	contraY := expr.And(expr.Gt(y, c(0)), expr.Lt(y, c(-5)))
 
-	// Seed the learned index: each contradictory conjunction is refuted once
-	// by propagation and recorded.
 	for _, q := range [][]*expr.Expr{
 		{expr.Gt(x, c(0)), expr.Lt(x, c(-5))},
 		{expr.Gt(y, c(0)), expr.Lt(y, c(-5))},
 	} {
 		if res, _ := warm.Check(q); res != Unsat {
-			t.Fatalf("seed conjunction not refuted: %v", res)
+			t.Fatalf("contradictory conjunction not refuted: %v", res)
 		}
 	}
-	if st := warm.Stats(); st.LearnedSets == 0 {
-		t.Fatalf("no conflict sets learned from the seed queries: %+v", st)
-	}
 
-	// This query's DNF branches are exactly the two recorded conjunctions, so
-	// its Unsat verdict is proved via learned hits — the verdict we persist.
-	learnedQuery := []*expr.Expr{expr.Or(contraX, contraY)}
+	// Both DNF branches of this query are refuted conjunctions, so its Unsat
+	// verdict is proved without a single decision — the verdict we persist.
+	refutedQuery := []*expr.Expr{expr.Or(contraX, contraY)}
 	before := warm.Stats()
-	if res, _ := warm.Check(learnedQuery); res != Unsat {
+	if res, _ := warm.Check(refutedQuery); res != Unsat {
 		t.Fatal("disjunction of refuted conjunctions not unsat")
 	}
-	after := warm.Stats()
-	if after.LearnedHits <= before.LearnedHits {
-		t.Fatalf("verdict was not proved via the learned index: before %+v after %+v", before, after)
+	if after := warm.Stats(); after.Decisions != before.Decisions {
+		t.Fatalf("verdict was not proved by the refutation layer alone: before %+v after %+v", before, after)
 	}
 
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
@@ -119,9 +113,9 @@ func TestLearnedVerdictRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The file carries verdicts only: no learned-clause or interned-ID
-	// material may appear in any entry (IDs are per-solver and would be
-	// garbage in the next process).
+	// The file carries verdicts only: no interned-ID material may appear in
+	// any entry (IDs are per-solver and would be garbage in the next
+	// process).
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -146,18 +140,13 @@ func TestLearnedVerdictRoundTrip(t *testing.T) {
 	if loaded != 3 {
 		t.Fatalf("loaded %d entries, want 3", loaded)
 	}
-	// Verdicts travelled; learned state did not.
-	if st := cold.Stats(); st.LearnedSets != 0 {
-		t.Fatalf("learned clauses leaked through the cache file: %+v", st)
-	}
-	res, _ := cold.Check(learnedQuery)
+	res, _ := cold.Check(refutedQuery)
 	if res != Unsat {
-		t.Fatalf("round-tripped learned verdict lost: %v", res)
+		t.Fatalf("round-tripped refuted verdict lost: %v", res)
 	}
 	// The replay is either a cache hit or the sampled first-use re-solve of a
-	// loaded Unsat verdict — both must agree with the warm solver. A fresh
-	// re-solve rebuilds learned state from scratch, which is the point: the
-	// cold solver trusts the persisted verdict set, never the warm solver's
+	// loaded Unsat verdict — both must agree with the warm solver: the cold
+	// solver trusts the persisted verdict set, never the warm solver's
 	// private indexes.
 	st := cold.Stats()
 	if st.CacheHits == 0 && st.Reverified == 0 {
@@ -179,7 +168,7 @@ func TestVersionBumpColdStartMatchesWarm(t *testing.T) {
 		x := v(fmt.Sprintf("v%d", i))
 		queries = append(queries,
 			[]*expr.Expr{expr.Gt(x, c(int64(i))), expr.Lt(x, c(int64(i)+10))}, // sat
-			[]*expr.Expr{expr.Gt(x, c(0)), expr.Lt(x, c(int64(-i)-1))},        // unsat, learned
+			[]*expr.Expr{expr.Gt(x, c(0)), expr.Lt(x, c(int64(-i)-1))},        // unsat, refuted
 		)
 	}
 	warmRes := make([]Result, len(queries))

@@ -1,58 +1,61 @@
 package solver
 
-// Conflict-set learning. Whenever the propagation layer refutes a
-// conjunction — linearConflict on the linearised atoms, or interval
-// propagation emptying a domain — the refuted set of interned atom IDs is
-// recorded. Before any later conjunction is propagated (at DPLL split nodes
-// via feasibleConj and at leaves via solveConj), the learned index is
-// consulted first: an exact hit answers Unsat without re-deriving the
-// refutation. Sibling split branches and the Trojan negation queries issued
-// by the analysis re-build the same conjunctions thousands of times, so the
-// exact-match form already removes the bulk of the repeated propagation work
-// the PR 2 profile identified.
+// The split-gate feasible memo. Every DPLL split node first asks the
+// budget-free refutation layer (linearConflict, then interval propagation)
+// whether the partial conjunction is already refuted (Solver.feasible).
+// Sibling split branches, and the Trojan negation queries the analysis
+// issues path after path, rebuild the same partial conjunctions over and
+// over, so the "not refuted" answers are recorded by interned-atom set and
+// replayed: a hit skips the conjState build and the propagation run.
 //
 // Soundness and exactness:
 //
-//   - only refutations proved by the budget-free propagation layer are
-//     recorded — never search outcomes (whose Unsat proofs are exhaustive
-//     but whose cost is charged against the decision budget) and never
-//     verdicts influenced by a cancelled context. A hit therefore replaces a
-//     re-derivation that consumes no decision budget, so budget accounting —
-//     and with it every budget-sensitive verdict and model — is unchanged;
-//   - a hit only ever short-circuits to Unsat, and only for a conjunction
-//     whose atom set was itself refuted, so no Sat subtree (and no model) is
-//     ever skipped;
+//   - the gate is a pure function of the atom set. The per-atom tighteners
+//     are monotone narrowing operators, so propagation from full domains
+//     reaches one fixpoint whatever order the atoms come in, and a duplicate
+//     atom changes nothing. The one caveat is the bounded round count in
+//     propagate: a run the cap stops can end above the fixpoint, and two
+//     orderings of one set could then disagree. The cap exists only as a
+//     termination backstop for adversarial narrowing chains; Stats.RoundCaps
+//     counts the runs it stops, and TestAuditsNeverHitPropagationRoundCap
+//     (internal/campaign) holds that count at 0 on the fleet in all three
+//     modes and on the rich FSP corpus;
+//   - a hit only ever answers "not refuted", which decides nothing but
+//     whether the node splits further. Refuted sets are not recorded, so a
+//     refutation is always re-derived by the same budget-free layer, and no
+//     verdict, model or budget count can move;
 //   - keys are sorted, deduplicated ID sets: order-variants of one
 //     conjunction alias deliberately, mirroring the sorted renderings the
-//     verdict cache has always keyed on.
+//     verdict cache keys on.
 //
-// The index is in-memory only. It is never persisted — IDs are per-solver
-// and scheduling-dependent — so solver.Version bumps can never replay a
-// stale learned clause from disk (see persist.go for the cache-file gate).
+// The memo is in-memory only. It is never persisted — IDs are per-solver and
+// scheduling-dependent — so a solver.Version bump can never replay a stale
+// entry from disk (see persist.go for the cache-file gate).
 
 import (
 	"encoding/binary"
 	"sync"
 )
 
-// learnedCap bounds the learned index. Recording stops at the cap (no
-// eviction): a full index keeps serving its hits, and correctness never
-// depends on an insert landing.
-const learnedCap = 1 << 16
+// feasibleCap bounds the memo. Recording stops at the cap (no eviction): a
+// full memo keeps serving its hits, and correctness never depends on an
+// insert landing.
+const feasibleCap = 1 << 16
 
-// learnedSet is the mutex-guarded index of refuted conjunctions.
-type learnedSet struct {
+// feasibleMemo is the mutex-guarded set of conjunctions the split gate did
+// not refute.
+type feasibleMemo struct {
 	mu sync.Mutex
 	m  map[string]struct{}
 }
 
-func newLearnedSet() *learnedSet {
-	return &learnedSet{m: make(map[string]struct{})}
+func newFeasibleMemo() *feasibleMemo {
+	return &feasibleMemo{m: make(map[string]struct{})}
 }
 
-// conflictKey encodes the sorted, deduplicated interned-ID set of a
+// atomSetKey encodes the sorted, deduplicated interned-ID set of a
 // conjunction as a compact byte string.
-func conflictKey(entries []*internEntry) string {
+func atomSetKey(entries []*internEntry) string {
 	ids := make([]uint64, 0, len(entries))
 	for _, en := range entries {
 		ids = append(ids, en.id)
@@ -77,26 +80,19 @@ func conflictKey(entries []*internEntry) string {
 	return string(buf)
 }
 
-// has reports whether the conjunction key was previously refuted.
-func (l *learnedSet) has(key string) bool {
-	l.mu.Lock()
-	_, ok := l.m[key]
-	l.mu.Unlock()
+// has reports whether the conjunction key was recorded as not refuted.
+func (f *feasibleMemo) has(key string) bool {
+	f.mu.Lock()
+	_, ok := f.m[key]
+	f.mu.Unlock()
 	return ok
 }
 
-// add records a refuted conjunction key, dropping it when the index is full.
-func (l *learnedSet) add(key string) {
-	l.mu.Lock()
-	if len(l.m) < learnedCap {
-		l.m[key] = struct{}{}
+// add records a conjunction key, dropping it when the memo is full.
+func (f *feasibleMemo) add(key string) {
+	f.mu.Lock()
+	if len(f.m) < feasibleCap {
+		f.m[key] = struct{}{}
 	}
-	l.mu.Unlock()
-}
-
-// size reports the number of learned conflict sets.
-func (l *learnedSet) size() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.m)
+	f.mu.Unlock()
 }

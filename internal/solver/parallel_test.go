@@ -118,7 +118,8 @@ func TestCachedModelIsIsolated(t *testing.T) {
 // TestCacheEviction fills one tiny shard far past its cap and checks the
 // solver still answers correctly (eviction must never change verdicts).
 func TestCacheEviction(t *testing.T) {
-	s := New(Options{CacheShards: 1, CacheShardEntries: 8})
+	s := New(Options{})
+	s.cache = newVerdictCache(1, 8)
 	x := expr.Var("x")
 	for i := int64(0); i < 100; i++ {
 		if res, _ := s.Check([]*expr.Expr{expr.Eq(x, expr.Const(i))}); res != Sat {

@@ -3,8 +3,8 @@ package solver
 // Pinned naive-DPLL reference for the differential suite.
 //
 // Reference re-implements the solver's decision procedure with NO cross-query
-// state: no verdict cache, no interning arena, no learned conflict sets, no
-// propOK memo, no prefix seeding. Per-query behaviour — flattening, split
+// state: no verdict cache, no interning arena, no propOK memo, no prefix
+// handles. Per-query behaviour — flattening, split
 // order, the budget-free refutation layer (pairwise linear conflicts +
 // interval propagation) at split nodes and leaves, budget accounting,
 // variable ordering, enumeration order and final model verification — mirrors
@@ -14,8 +14,8 @@ package solver
 //
 // The interval arithmetic (propagate, propagateAtom, search, finish) is
 // shared with the fast path deliberately: the differential target is the
-// fast-path machinery layered on top of it — interning, clause learning,
-// split-gate memoisation, cache keys, prefix seeding — not the arithmetic.
+// fast-path machinery layered on top of it — interning, split-gate
+// memoisation, cache keys, prefix handles — not the arithmetic.
 // A change to the shared kernel moves both sides at once, so this suite
 // cannot see it; TestKernelFingerprint (kernel_test.go) pins the kernel's
 // verdicts, models and work counters instead.
@@ -129,8 +129,8 @@ func (r *Reference) solve(conj, disj []*expr.Expr, budget *int) (Result, expr.En
 	return Unsat, nil
 }
 
-// solveConj mirrors Solver.solveConj without the learned index: refutation
-// layer first (budget-free), then the shared search.
+// solveConj mirrors Solver.solveConj: refutation layer first (budget-free),
+// then the shared search.
 func (r *Reference) solveConj(conj []*expr.Expr, budget *int) (Result, expr.Env) {
 	cs := refConjState(conj)
 	if linearConflict(cs.atoms) || !r.s.propagate(cs) {

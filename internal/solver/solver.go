@@ -50,11 +50,14 @@ import (
 // policy, Unknown treatment), so stale on-disk caches are discarded at load
 // instead of replaying verdicts this solver would no longer produce.
 //
-// solver/2: interned expressions, learned conflict sets and incremental
-// prefix solving (see intern.go, learn.go, prefix.go). The decision
-// procedure is designed to be verdict- and model-preserving, but the fast
-// path introduces cross-query state that the solver/1 revision did not
-// have, so caches written by solver/1 are refused rather than replayed.
+// solver/2: interned expressions, the split-gate feasible memo and
+// incremental prefix handles (see intern.go, learn.go, prefix.go). The
+// decision procedure is designed to be verdict- and model-preserving, but
+// the fast path introduces cross-query state that the solver/1 revision did
+// not have, so caches written by solver/1 are refused rather than replayed.
+// A change that moves only work counters, never a verdict, model or cache
+// key, keeps the revision: it is folded into every input fingerprint, and
+// with it into every bundle's ContentHash.
 const Version = "solver/2"
 
 // Result is the outcome of a satisfiability check.
@@ -102,22 +105,24 @@ type Stats struct {
 	ReverifyFailed int
 
 	// Fast-path counters (see intern.go, learn.go): Interned is the number
-	// of structurally distinct expressions in the arena, LearnedSets the
-	// number of recorded conflict sets, LearnedHits the number of
-	// conjunctions answered Unsat from the learned index without
-	// re-propagating, FeasibleHits the number of split-node feasibility
-	// gates answered "not refuted" from the complementary memo, and
-	// MemoResets the number of times the arena's bounded pointer memo was
-	// cleared (only a solver that outlives one audit reaches the bound).
+	// of structurally distinct expressions in the arena, FeasibleHits the
+	// number of split-node feasibility gates answered "not refuted" from
+	// the memo, and MemoResets the number of times the arena's bounded
+	// pointer memo was cleared (only a solver that outlives one audit
+	// reaches the bound).
 	Interned     int
-	LearnedSets  int
-	LearnedHits  int
 	FeasibleHits int
 	MemoResets   int
 
+	// LearnedSets and LearnedHits are retired and always read 0: the
+	// solver keeps no index of refuted conjunctions. The fields stay for
+	// readers that still report them.
+	LearnedSets int
+	LearnedHits int
+
 	// RoundCaps counts propagation runs stopped by the round cap before
-	// reaching their fixpoint (see propagate; prefix.go explains why the
-	// cap must not bind on real workloads).
+	// reaching their fixpoint (see propagate; learn.go explains why the cap
+	// must not bind on real workloads).
 	RoundCaps int
 }
 
@@ -133,7 +138,6 @@ type counters struct {
 	cacheMisses    atomic.Int64
 	reverified     atomic.Int64
 	reverifyFailed atomic.Int64
-	learnedHits    atomic.Int64
 	feasibleHits   atomic.Int64
 	roundCaps      atomic.Int64
 }
@@ -147,15 +151,17 @@ type Options struct {
 	// enumerated; larger domains use boundary heuristics only. Zero means
 	// the default (1 << 16).
 	MaxEnumDomain int64
-	// CacheShards is the number of mutex stripes of the verdict cache. Zero
-	// means the default (64).
-	CacheShards int
-	// CacheShardEntries bounds the entries held per shard; one arbitrary
-	// entry is evicted on overflow. Zero means the default (4096).
-	CacheShardEntries int
 	// DisableCache turns the verdict cache off; every Check solves afresh.
 	DisableCache bool
 }
+
+// The verdict cache has cacheShards mutex stripes of at most
+// cacheShardEntries entries each; one arbitrary entry is evicted on
+// overflow.
+const (
+	cacheShards       = 64
+	cacheShardEntries = 4096
+)
 
 // Solver decides satisfiability of constraint conjunctions. A Solver may be
 // reused across queries and shared between goroutines: the search state is
@@ -166,8 +172,7 @@ type Solver struct {
 	cache       *verdictCache // nil when disabled
 	loadedProbe atomic.Int64  // loaded Unsat/Unknown hits, for sampling
 	arena       *internArena  // hash-consed expressions (intern.go)
-	learned     *learnedSet   // refuted conjunction index (learn.go)
-	propOK      *learnedSet   // non-refuted split-gate index (learn.go)
+	propOK      *feasibleMemo // non-refuted split-gate index (learn.go)
 }
 
 // New returns a Solver with the given options.
@@ -178,15 +183,9 @@ func New(opts Options) *Solver {
 	if opts.MaxEnumDomain == 0 {
 		opts.MaxEnumDomain = 1 << 16
 	}
-	if opts.CacheShards == 0 {
-		opts.CacheShards = 64
-	}
-	if opts.CacheShardEntries == 0 {
-		opts.CacheShardEntries = 4096
-	}
-	s := &Solver{opts: opts, arena: newInternArena(), learned: newLearnedSet(), propOK: newLearnedSet()}
+	s := &Solver{opts: opts, arena: newInternArena(), propOK: newFeasibleMemo()}
 	if !opts.DisableCache {
-		s.cache = newVerdictCache(opts.CacheShards, opts.CacheShardEntries)
+		s.cache = newVerdictCache(cacheShards, cacheShardEntries)
 	}
 	return s
 }
@@ -210,8 +209,6 @@ func (s *Solver) Stats() Stats {
 		ReverifyFailed: int(s.stats.reverifyFailed.Load()),
 
 		Interned:     s.arena.size(),
-		LearnedSets:  s.learned.size(),
-		LearnedHits:  int(s.stats.learnedHits.Load()),
 		FeasibleHits: int(s.stats.feasibleHits.Load()),
 		MemoResets:   int(s.arena.resets.Load()),
 		RoundCaps:    int(s.stats.roundCaps.Load()),
@@ -230,7 +227,6 @@ func (s *Solver) ResetStats() {
 	s.stats.cacheMisses.Store(0)
 	s.stats.reverified.Store(0)
 	s.stats.reverifyFailed.Store(0)
-	s.stats.learnedHits.Store(0)
 	s.stats.feasibleHits.Store(0)
 	s.stats.roundCaps.Store(0)
 	s.arena.resets.Store(0)
@@ -261,34 +257,31 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, expr.Env) {
 // cancelled context is NOT memoised: caching it would poison the verdict
 // cache with budget-dependent Unknowns that outlive the cancellation.
 func (s *Solver) CheckCtx(ctx context.Context, constraints []*expr.Expr) (Result, expr.Env) {
-	entries := s.internAll(constraints)
-	keyFn := func() string { return queryKeyInterned(entries) }
-	constraintsFn := func() []*expr.Expr { return constraints }
-	return s.checkCached(ctx, keyFn, constraintsFn, func(ctx context.Context) (Result, expr.Env) {
-		return s.check(ctx, flattenQuery(s, entries), nil)
-	})
+	return s.CheckPrefixCtx(ctx, nil, constraints...)
 }
 
-// checkCached runs the shared cache protocol around one solve: stats, key
-// lookup, loaded-entry re-verification, the cancellation guard and the final
-// memoisation. keyFn produces the cache key (assembled from cached interned
-// renderings — byte-identical to the historical queryKey format),
-// constraintsFn materialises the original expressions (consulted only when a
-// loaded Sat model must be re-evaluated), and solve produces a fresh
-// verdict.
-func (s *Solver) checkCached(ctx context.Context, keyFn func() string,
-	constraintsFn func() []*expr.Expr, solve func(context.Context) (Result, expr.Env)) (Result, expr.Env) {
-
+// CheckPrefixCtx decides the conjunction of the prefix's constraints and
+// conds; a nil p is the empty path. Every query runs through it: the cache
+// protocol (stats, key lookup, loaded-entry re-verification, the
+// cancellation guard, memoisation) wraps one solve of the prefix's
+// flattened form extended by conds. The answer, the cache key and the
+// cached entry are those of CheckCtx over the materialised constraint
+// slice.
+func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.Expr) (Result, expr.Env) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if p == nil {
+		p = emptyPrefix
+	}
 	s.stats.queries.Add(1)
+	ens := s.internAll(conds)
 	var key string
 	var loaded *verdict
 	if s.cache != nil {
-		key = keyFn()
+		key = p.key(ens)
 		if ent, ok := s.cache.get(key); ok {
-			if !ent.loaded || s.trustLoaded(key, ent, constraintsFn()) {
+			if !ent.loaded || s.trustLoaded(key, ent, p.constraints(ens)) {
 				s.stats.cacheHits.Add(1)
 				return ent.res, ent.model.Clone()
 			}
@@ -296,7 +289,7 @@ func (s *Solver) checkCached(ctx context.Context, keyFn func() string,
 		}
 		s.stats.cacheMisses.Add(1)
 	}
-	res, model := solve(ctx)
+	res, model := s.check(ctx, p, ens)
 	if ctx.Err() != nil && res == Unknown {
 		// Aborted mid-search: the Unknown reflects the cancellation, not the
 		// query. Report it, but neither cache it nor let it indict a loaded
@@ -367,35 +360,23 @@ func (s *Solver) trustLoaded(key string, ent verdict, constraints []*expr.Expr) 
 	return true
 }
 
-// flatQuery is one query flattened into interned conjunctive atoms and
-// disjunctions, plus the optional domain seed of a path prefix.
-type flatQuery struct {
-	conj    []*internEntry
-	disj    []*internEntry
-	refuted bool // a literal false constraint was found
-}
-
-// flattenQuery flattens the top-level constraint entries of a query.
-func flattenQuery(s *Solver, entries []*internEntry) flatQuery {
-	var fq flatQuery
-	for _, en := range entries {
-		if !s.flattenInto(en.e, &fq.conj, &fq.disj) {
-			fq.refuted = true
-			return fq
-		}
-	}
-	return fq
-}
-
-// check solves one flattened query without consulting the cache. seed, when
-// non-nil, is the propagation fixpoint of the query's leading atoms (see
-// Prefix) — propagation starts from it instead of full domains.
-func (s *Solver) check(ctx context.Context, fq flatQuery, seed *fixpoint) (Result, expr.Env) {
-	if fq.refuted {
+// check solves the prefix extended by the interned conds without
+// consulting the cache.
+func (s *Solver) check(ctx context.Context, p *Prefix, ens []*internEntry) (Result, expr.Env) {
+	if p.refuted {
 		return Unsat, nil
 	}
+	// The prefix's slices are shared with every query on it: conj is copied
+	// and disj clipped, so appending never writes into them.
+	conj := append(make([]*internEntry, 0, len(p.conj)+len(ens)), p.conj...)
+	disj := slices.Clip(p.disj)
+	for _, en := range ens {
+		if !s.flattenInto(en.e, &conj, &disj) {
+			return Unsat, nil
+		}
+	}
 	budget := s.opts.MaxDecisions
-	res, model := s.solve(ctx, fq.conj, fq.disj, seed, &budget)
+	res, model := s.solve(ctx, conj, disj, &budget)
 	if res == Unknown {
 		s.stats.unknowns.Add(1)
 	}
@@ -437,15 +418,13 @@ func disjuncts(e *expr.Expr, out *[]*expr.Expr) {
 
 // solve handles DPLL splitting over the disjunctions, then delegates pure
 // conjunctions to solveConj. A cancelled ctx aborts the split tree with
-// Unknown at the next node boundary. seed (possibly nil) is the propagation
-// fixpoint of conj's leading atoms; it stays valid down the split tree
-// because branches only ever append atoms.
-func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, seed *fixpoint, budget *int) (Result, expr.Env) {
+// Unknown at the next node boundary.
+func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, budget *int) (Result, expr.Env) {
 	if ctx.Err() != nil {
 		return Unknown, nil
 	}
 	if len(disj) == 0 {
-		return s.solveConj(ctx, conj, seed, budget)
+		return s.solveConj(ctx, conj, budget)
 	}
 	// Split-node pruning: refute the partial conjunction by propagation
 	// before splitting further. Without this, a contradicted disjunct picked
@@ -457,7 +436,7 @@ func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, seed *fix
 	// disjuncts can never make an unsat conjunction satisfiable), so
 	// verdicts are unchanged; only the visit order of the split tree
 	// shrinks.
-	if !s.feasibleSeeded(conj, seed) {
+	if !s.feasible(conj) {
 		return Unsat, nil
 	}
 	// Split on the first disjunction; propagation inside solveConj will
@@ -477,7 +456,7 @@ func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, seed *fix
 		if !s.flattenInto(p, &subConj, &subDisj) {
 			continue
 		}
-		res, model := s.solve(ctx, subConj, subDisj, seed, budget)
+		res, model := s.solve(ctx, subConj, subDisj, budget)
 		switch res {
 		case Sat:
 			return Sat, model
@@ -551,12 +530,11 @@ func clamp(v int64) int64 {
 // to their slots once per state. An assignment is simply a point domain, so
 // a search child is one copied []interval rather than cloned maps.
 //
-// The layout (vars, dom, slots) is built by the first propagate, after the
-// learned index and linearConflict have had their turn: most refuted
-// conjunctions are refuted there, before any domain is read.
+// The layout (vars, dom, slots) is built by the first propagate, after
+// linearConflict has had its turn: many refuted conjunctions are refuted
+// there, before any domain is read.
 type conjState struct {
 	entries    []*internEntry // interned source atoms (nil for the reference)
-	seed       *fixpoint      // prefix fixpoint the domains start from (may be nil)
 	atoms      []*linAtom     // linearised atoms
 	nonlin     []*expr.Expr   // atoms outside the linear fragment
 	nonlinVars [][]string     // sorted variable names of each nonlin atom
@@ -579,8 +557,8 @@ type term struct {
 // recomputed. The dense layout is left to the first propagate: the
 // refutation layer in front of it needs only the atoms. The state is
 // returned by value so that it can live on the caller's stack.
-func (s *Solver) newConjState(entries []*internEntry, seed *fixpoint) conjState {
-	cs := conjState{entries: entries, seed: seed, atoms: make([]*linAtom, 0, len(entries))}
+func (s *Solver) newConjState(entries []*internEntry) conjState {
+	cs := conjState{entries: entries, atoms: make([]*linAtom, 0, len(entries))}
 	for _, en := range entries {
 		if en.la != nil {
 			cs.atoms = append(cs.atoms, en.la)
@@ -592,30 +570,16 @@ func (s *Solver) newConjState(entries []*internEntry, seed *fixpoint) conjState 
 	return cs
 }
 
-// layout builds the dense state. Unless the reference set it up front, the
-// variable table is the seed's merged with the names the atoms after the
-// seed's first n add: a query always extends its prefix, so those n atoms
-// lead entries. Domains resolve through the seed and default to full —
-// interval propagation is confluent, so starting from the prefix fixpoint
-// reaches the same final domains as starting from the top (see prefix.go for
-// the argument).
+// layout builds the dense state: unless the reference set it up front, the
+// variable table is the sorted union of the entries' variables, and every
+// domain starts full.
 func (cs *conjState) layout() {
-	var seed fixpoint
-	if cs.seed != nil {
-		seed = *cs.seed
-	}
 	if cs.vars == nil {
-		cs.vars = mergeVars(seed.vars, cs.entries[seed.n:])
+		cs.vars = varTable(cs.entries)
 	}
 	cs.dom = make([]interval, len(cs.vars))
-	j := 0
-	for i, v := range cs.vars {
-		if j < len(seed.vars) && seed.vars[j] == v {
-			cs.dom[i] = seed.dom[j]
-			j++
-		} else {
-			cs.dom[i] = interval{-satLimit, satLimit}
-		}
+	for i := range cs.dom {
+		cs.dom[i] = interval{-satLimit, satLimit}
 	}
 	n := 0
 	for _, a := range cs.atoms {
@@ -641,31 +605,24 @@ func appendSlots(slots []int32, vars, names []string) []int32 {
 	return slots
 }
 
-// feasibleSeeded reports whether the budget-free refutation layer — the
-// learned index, linearConflict, interval propagation — fails to refute the
-// conjunction: false means provably unsat. It runs no search, which keeps it
-// cheap enough for every DPLL split node. Fresh refutations are recorded in
-// the learned index so the next conjunction over the same atom set answers
-// from memory.
-func (s *Solver) feasibleSeeded(conj []*internEntry, seed *fixpoint) bool {
-	key := conflictKey(conj)
-	if s.learned.has(key) {
-		s.stats.learnedHits.Add(1)
-		return false
-	}
-	// The gate is a pure function of the atom set (propagation is confluent;
-	// see prefix.go), so the "not refuted" answer is memoised symmetrically:
-	// sibling split branches rebuild the same partial conjunctions over and
-	// over, and a positive hit skips the whole conjState build + propagation,
-	// not just the refuted case. The answer feeds nothing downstream but the
-	// split/no-split decision, so replaying it cannot shift verdicts.
+// feasible reports whether the budget-free refutation layer —
+// linearConflict, interval propagation — fails to refute the conjunction:
+// false means provably unsat. It runs no search, which keeps it cheap
+// enough for every DPLL split node.
+func (s *Solver) feasible(conj []*internEntry) bool {
+	// The gate is a pure function of the atom set (see learn.go), so the
+	// "not refuted" answer is memoised: sibling split branches rebuild the
+	// same partial conjunctions over and over, and a hit skips the whole
+	// conjState build and propagation. The answer feeds nothing downstream
+	// but the split/no-split decision, so replaying it cannot shift
+	// verdicts.
+	key := atomSetKey(conj)
 	if s.propOK.has(key) {
 		s.stats.feasibleHits.Add(1)
 		return true
 	}
-	cs := s.newConjState(conj, seed)
+	cs := s.newConjState(conj)
 	if linearConflict(cs.atoms) || !s.propagate(&cs) {
-		s.learned.add(key)
 		return false
 	}
 	s.propOK.add(key)
@@ -673,18 +630,11 @@ func (s *Solver) feasibleSeeded(conj []*internEntry, seed *fixpoint) bool {
 }
 
 // solveConj decides a pure conjunction of atoms. The budget-free refutation
-// layer runs first (learned index, pairwise conflicts, propagation — all
-// recorded/served via the learned index); only then is the decision budget
-// spent on search.
-func (s *Solver) solveConj(ctx context.Context, conj []*internEntry, seed *fixpoint, budget *int) (Result, expr.Env) {
-	key := conflictKey(conj)
-	if s.learned.has(key) {
-		s.stats.learnedHits.Add(1)
-		return Unsat, nil
-	}
-	cs := s.newConjState(conj, seed)
+// layer (pairwise conflicts, propagation) runs first; only then is the
+// decision budget spent on search.
+func (s *Solver) solveConj(ctx context.Context, conj []*internEntry, budget *int) (Result, expr.Env) {
+	cs := s.newConjState(conj)
 	if linearConflict(cs.atoms) || !s.propagate(&cs) {
-		s.learned.add(key)
 		return Unsat, nil
 	}
 	cs.orig = make([]*expr.Expr, len(conj))

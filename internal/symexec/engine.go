@@ -139,8 +139,8 @@ type State struct {
 
 	// prefix mirrors Path as an incremental solver handle: it is extended
 	// exactly when Path grows, so feasibility queries reuse the path's
-	// flattened form and propagation fixpoint instead of re-solving the
-	// shared prefix per branch, and duplicate/complement branch conditions
+	// flattened form and sorted cache-key renderings instead of rebuilding
+	// them per branch, and duplicate/complement branch conditions
 	// are decided without a solver call (see solver.Prefix). Prefixes are
 	// immutable, so forked siblings share the parent handle. It is nil only
 	// in concrete mode, where branch and assume return before any
@@ -158,8 +158,8 @@ type State struct {
 func (st *State) frame() *Frame { return &st.Frames[len(st.Frames)-1] }
 
 // SolverPrefix exposes the state's incremental path handle so analysis hooks
-// can issue path-plus-suffix solver queries through the prefix fast path
-// (solver.CheckPrefixAllCtx) instead of re-submitting the whole path. It is
+// can issue path-plus-suffix solver queries through the prefix handle
+// (solver.CheckPrefixCtx) instead of re-submitting the whole path. It is
 // nil in concrete mode and always mirrors Path otherwise.
 func (st *State) SolverPrefix() *solver.Prefix { return st.prefix }
 
@@ -749,8 +749,7 @@ func (e *Engine) fireBranch(st *State, cond *expr.Expr) bool {
 // model that binds every variable of cond satisfies cond or its complement,
 // so one side of such a two-sided branch is always answered this way.
 // Otherwise the query runs through the prefix handle, reusing the path's
-// flattened form and propagation fixpoint instead of re-solving the shared
-// prefix from scratch.
+// flattened form instead of re-flattening the shared prefix.
 func (e *Engine) feasible(ctx *wctx, st *State, cond *expr.Expr) (bool, expr.Env) {
 	if cond.IsTrue() {
 		return true, st.model
