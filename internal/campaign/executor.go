@@ -15,7 +15,7 @@ package campaign
 //
 // The seam is deliberately job-granular: Run takes one job and returns its
 // manifest entry plus report stream, so scheduling (lane count, budget
-// split, work stealing, crash requeue) stays a backend concern while result
+// split, worker choice, crash requeue) stays a backend concern while result
 // semantics — what a finished, failed, truncated or interrupted job looks
 // like — stay defined in one place, here. Whatever the backend, the per-job
 // class set is a deterministic function of the job's inputs (the core
@@ -30,9 +30,10 @@ import (
 	"achilles/internal/solver"
 )
 
-// PlannedJob pairs a job with its input fingerprint — the stable shard key
-// distributed backends partition the job graph by (the same fingerprint
-// that drives incremental baseline reuse).
+// PlannedJob pairs a job with its input fingerprint (the one that drives
+// incremental baseline reuse). No backend reads Fingerprint: both grant
+// lanes from the pending count alone. The field stays because the
+// benchmark's executor wrapper implements Executor with this signature.
 type PlannedJob struct {
 	Job         Job
 	Fingerprint string
@@ -85,11 +86,7 @@ func NewLocalExecutor(opts Options, sol *solver.Solver) *LocalExecutor {
 // lanes, with the budget's remainder distributed so no slot is floored away
 // (SplitBudget).
 func (e *LocalExecutor) Negotiate(budget int, pending []PlannedJob) []int {
-	lanes := budget
-	if lanes > len(pending) {
-		lanes = len(pending)
-	}
-	return SplitBudget(budget, lanes)
+	return SplitBudget(budget, min(budget, len(pending)))
 }
 
 // Run executes one job in-process with the lane's parallelism grant and the

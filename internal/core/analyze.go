@@ -57,16 +57,17 @@ type AnalysisOptions struct {
 	// example against the server model. It is forced on when the server
 	// runs with symbolic local state, which cannot be replayed concretely.
 	SkipConcreteVerification bool
-	// Parallelism is the number of analysis workers (the -j knob): it drives
-	// the engine's frontier workers, the concurrent Trojan checks and — via
-	// Run — client predicate extraction and preprocessing. Values <= 1 run
-	// the classic sequential pipeline. The reported Trojan class set is
-	// identical for every value, and reports are merged in fork-tree order
-	// so the report list is deterministic for a fixed Parallelism. Two
-	// caveats: the *order* of LiveTrace entries (not their multiset) is
+	// Parallelism is the number of analysis workers (the -j knob): it sets
+	// the engine's frontier workers (it overrides Exec.Parallelism), the
+	// concurrent Trojan checks and — via Run — client predicate extraction
+	// and preprocessing. Values <= 1 run one worker at each stage. The
+	// reported Trojan class set is identical for every value, and reports
+	// are merged in fork-tree order, so the report list — indices and
+	// ServerStateIDs included — does not depend on it. Two caveats: the
+	// *order* of LiveTrace entries (not their multiset) is
 	// scheduling-dependent at Parallelism > 1, and a run truncated by
-	// Exec.MaxStates explores a scheduling-dependent subset under
-	// parallelism — see symexec.Options.Parallelism.
+	// Exec.MaxStates keeps a scheduling-dependent subset at Parallelism > 1
+	// — see symexec.Options.Parallelism.
 	Parallelism int
 
 	// Observer streams phase transitions, Trojan reports (as they are
@@ -123,6 +124,9 @@ type LivePoint struct {
 
 // Result is the outcome of a server analysis.
 type Result struct {
+	// Trojans lists the reports in the fork-tree (Trail) order of their
+	// accepting states: Index is the position in this list, ServerStateID
+	// the state's position among all the run's terminal states.
 	Trojans   []TrojanReport
 	Timeline  []TimelinePoint
 	LiveTrace []LivePoint
@@ -209,15 +213,10 @@ type analysis struct {
 	pending []pendingReport
 }
 
-// AnalyzeServer runs the Achilles server phase against a compiled server
-// model and a preprocessed client predicate.
-func AnalyzeServer(server *lang.Unit, pc *ClientPredicate, opts AnalysisOptions) (*Result, error) {
-	return AnalyzeServerCtx(context.Background(), server, pc, opts)
-}
-
-// AnalyzeServerCtx is AnalyzeServer under a context. Cancellation (or a
-// deadline) aborts the exploration cleanly mid-frontier: the engine stops
-// forking, in-flight solver queries return Unknown, reports whose
+// AnalyzeServerCtx runs the Achilles server phase against a compiled server
+// model and a preprocessed client predicate, under a context. Cancellation
+// (or a deadline) aborts the exploration cleanly mid-frontier: the engine
+// stops forking, in-flight solver queries return Unknown, reports whose
 // verification the cancellation degraded are dropped rather than emitted,
 // and the partial result — marked Truncated — is returned together with
 // ctx.Err(). An opts.FirstTrojan early exit uses the same stop path but is
@@ -260,9 +259,7 @@ func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 	}
 	execOpts := opts.Exec
 	execOpts.Solver = a.sol
-	if execOpts.Parallelism == 0 {
-		execOpts.Parallelism = opts.Parallelism
-	}
+	execOpts.Parallelism = opts.Parallelism
 	switch opts.Mode {
 	case ModeAPosteriori:
 		// Phase A: plain symbolic execution (classic S2E run).
@@ -362,10 +359,11 @@ func (a *analysis) emitProgress() {
 }
 
 // finalize turns the pending reports into the public report list. Reports
-// are ordered by the accepting state's fork-tree trail — for sequential runs
-// this equals the discovery order, for parallel runs it is the scheduling-
-// independent canonical order — and the discovery timeline is ordered by
-// elapsed time.
+// are ordered by the accepting state's fork-tree trail — the engine's result
+// order, the same at every worker count and, with one worker, also the
+// discovery order — and the discovery timeline is ordered by elapsed time.
+// The engine has renumbered each state's ID to its trail position, which
+// is the ServerStateID reported here.
 func (a *analysis) finalize() {
 	sort.SliceStable(a.pending, func(i, j int) bool {
 		return a.pending[i].st.Trail < a.pending[j].st.Trail

@@ -20,9 +20,10 @@ type Observer struct {
 	// PhasePreprocess, PhaseServer).
 	OnPhase func(phase string)
 	// OnTrojan fires for every Trojan report the moment it is confirmed,
-	// during the exploration — not after it. The report is provisional in
-	// exactly one way: Index is the discovery order at emission time, while
-	// the final result list is re-indexed in canonical fork-tree order (see
+	// during the exploration — not after it. Two fields are provisional:
+	// Index is the discovery order at emission time, and ServerStateID is
+	// the state's creation-order ID while the run is live; the final result
+	// list renumbers both in canonical fork-tree order (see
 	// Result.Trojans). Everything else — witness, concrete example, state
 	// world, verification flags — is final.
 	OnTrojan func(TrojanReport)

@@ -143,7 +143,7 @@ type ClientPredicate struct {
 	// by default.
 	sharedVars map[string]bool
 
-	// PreprocessStats records the work done by Preprocess.
+	// PreprocessStats records the work done by PreprocessParallelCtx.
 	PreprocessStats PreprocessStats
 
 	// Truncated reports that at least one client exploration hit its
@@ -183,11 +183,6 @@ func (pc *ClientPredicate) DifferentFrom(i, j, f int) Tri {
 	return pc.classDiff[a*pc.numClasses+b]
 }
 
-// Masked reports whether field f is hidden from the analysis.
-func (pc *ClientPredicate) Masked(f int) bool {
-	return f < len(pc.masked) && pc.masked[f]
-}
-
 // ExtractOptions configure client predicate extraction.
 type ExtractOptions struct {
 	// Exec is passed to the symbolic engine for each client run.
@@ -206,9 +201,11 @@ type ExtractOptions struct {
 	Solver *solver.Solver
 	// Parallelism is the number of extraction workers: client programs run
 	// concurrently (one goroutine per client, results merged in client
-	// order, so path IDs are deterministic) and preprocessing fans the
-	// per-path work out over the same number of workers. Values <= 1 keep
-	// the sequential pipeline.
+	// order, so path IDs are deterministic), each client's engine gets
+	// Parallelism divided by the clients running at once (it overrides
+	// Exec.Parallelism), and preprocessing fans the per-path work out over
+	// Parallelism workers. Values <= 1 run one client at a time on one
+	// engine worker.
 	Parallelism int
 }
 
@@ -260,11 +257,9 @@ func ExtractClientPredicateCtx(ctx context.Context, clients []ClientProgram, opt
 	if slots > len(clients) {
 		slots = len(clients)
 	}
-	if execOpts.Parallelism == 0 {
-		execOpts.Parallelism = opts.Parallelism
-		if concurrent {
-			execOpts.Parallelism = opts.Parallelism / slots
-		}
+	execOpts.Parallelism = opts.Parallelism
+	if concurrent {
+		execOpts.Parallelism = opts.Parallelism / slots
 	}
 	parallelFor(slots, len(clients), func(i int) {
 		results[i], errs[i] = symexec.RunCtx(ctx, clients[i].Unit, execOpts)
@@ -375,32 +370,25 @@ func (pc *ClientPredicate) FieldIndexOfVar(name string) int {
 	return n
 }
 
-// Preprocess builds, for every client path, the binding constraints, the
-// field classification, the negation disjuncts (with the §4.1 overlap
-// check), and the differentFrom matrix (§3.3).
-func (pc *ClientPredicate) Preprocess(s *solver.Solver) {
-	pc.PreprocessParallel(s, 1)
-}
-
-// PreprocessParallel is Preprocess with the per-path work (binding, field
-// classification, negation with its overlap solver queries, bind keys)
-// fanned out over the given number of workers. Paths are independent, so
-// the produced artifacts are identical to the sequential run; per-path
-// counters are summed in path order, keeping PreprocessStats
-// deterministic. Numbering the negations and the differentFrom matrix stay
-// sequential: the matrix asks one query per member-class pair (84 on the
-// rich 256-path FSP corpus), which is too little work to fan out.
-func (pc *ClientPredicate) PreprocessParallel(s *solver.Solver, workers int) {
-	pc.PreprocessParallelCtx(context.Background(), s, workers)
-}
-
-// PreprocessParallelCtx is PreprocessParallel under a context: cancellation
-// skips the remaining per-path work and leaves the differentFrom matrix
-// unset, so every entry reads TriUnknown (the conservative don't-know). A
-// cancelled preprocessing run leaves the predicate HALF-BUILT — missing
-// negation disjuncts read as "abandoned" and silently suppress Trojan
-// classes — so callers must check ctx.Err() afterwards and refuse to
-// analyse with it (RunCtx and ExtractClientPredicateCtx both do).
+// PreprocessParallelCtx builds, for every client path, the binding
+// constraints, the field classification, the negation disjuncts (with the
+// §4.1 overlap check), and the differentFrom matrix (§3.3). The per-path
+// work (binding, field classification, negation with its overlap solver
+// queries, bind keys) fans out over the given number of workers. Paths are
+// independent, so the produced artifacts do not depend on the worker
+// count; per-path counters are summed in path order, keeping
+// PreprocessStats deterministic. Numbering the negations and the
+// differentFrom matrix stay sequential: the matrix asks one query per
+// member-class pair (84 on the rich 256-path FSP corpus), which is too
+// little work to fan out.
+//
+// Cancellation skips the remaining per-path work and leaves the
+// differentFrom matrix unset, so every entry reads TriUnknown (the
+// conservative don't-know). A cancelled preprocessing run leaves the
+// predicate HALF-BUILT — missing negation disjuncts read as "abandoned" and
+// silently suppress Trojan classes — so callers must check ctx.Err()
+// afterwards and refuse to analyse with it (RunCtx and
+// ExtractClientPredicateCtx both do).
 func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.Solver, workers int) {
 	if ctx == nil {
 		ctx = context.Background()

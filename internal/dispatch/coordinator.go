@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"os/exec"
@@ -117,8 +116,7 @@ var (
 )
 
 // Coordinator is the distributed campaign.Executor: jobs negotiated through
-// it run on worker subprocesses, sharded by input fingerprint with work
-// stealing and crash requeue.
+// it run on whichever worker subprocess is free, with crash requeue.
 type Coordinator struct {
 	cfg     Config
 	sol     *solver.Solver
@@ -128,7 +126,6 @@ type Coordinator struct {
 	cond   *sync.Cond
 	busy   []bool // worker i has an assignment in flight
 	dead   []bool // worker i has exited
-	home   map[string]int
 	nextID int
 	closed bool
 }
@@ -158,7 +155,6 @@ func Start(cfg Config) (*Coordinator, error) {
 		sol:  sol,
 		busy: make([]bool, cfg.Workers),
 		dead: make([]bool, cfg.Workers),
-		home: map[string]int{},
 	}
 	c.cond = sync.NewCond(&c.mu)
 
@@ -212,36 +208,21 @@ func Start(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Negotiate implements campaign.Executor: it records every pending job's
-// home worker — fnv32a(fingerprint) mod fleet size, so the shard assignment
-// is stable across runs and worker counts divide the graph the same way —
-// and grants one campaign lane per worker (capped at the pending job count),
-// splitting the global -j budget across lanes with no lane floored to zero.
+// Negotiate implements campaign.Executor: it grants one campaign lane per
+// worker (capped at the pending job count), splitting the global -j budget
+// across lanes with no lane floored to zero.
 func (c *Coordinator) Negotiate(budget int, pending []campaign.PlannedJob) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.workers)
-	for _, p := range pending {
-		h := fnv.New32a()
-		io.WriteString(h, p.Fingerprint)
-		c.home[p.Job.Key()] = int(h.Sum32() % uint32(n))
-	}
-	lanes := n
-	if lanes > len(pending) {
-		lanes = len(pending)
-	}
-	return campaign.SplitBudget(budget, lanes)
+	return campaign.SplitBudget(budget, min(len(c.workers), len(pending)))
 }
 
-// Run implements campaign.Executor: ship the job to a free worker —
-// preferring its fingerprint home, stealing any other free worker when the
-// home is busy or gone — and stream the result back. A worker dying mid-job
-// requeues the job on the next free worker; only a fully dead fleet fails
-// it. Cancellation returns the same "interrupted: …" manifest entry the
-// local backend produces.
+// Run implements campaign.Executor: ship the job to the lowest free worker
+// and stream the result back. A worker dying mid-job requeues the job on
+// the next free worker; only a fully dead fleet fails it. Cancellation
+// returns the same "interrupted: …" manifest entry the local backend
+// produces.
 func (c *Coordinator) Run(ctx context.Context, j campaign.Job, parallelism int) (campaign.RunManifest, []campaign.Report) {
 	for {
-		w, err := c.acquire(ctx, j.Key())
+		w, err := c.acquire(ctx)
 		if errors.Is(err, errAllDead) {
 			return campaign.ErrorManifest(j, fmt.Sprintf("dispatch: all %d workers exited before %s could run", len(c.workers), j.Key())), nil
 		}
@@ -257,10 +238,9 @@ func (c *Coordinator) Run(ctx context.Context, j campaign.Job, parallelism int) 
 	}
 }
 
-// acquire blocks until a worker is free, preferring the job's home worker
-// when it is among the free ones. It fails fast when the whole fleet is dead
-// or the context is cancelled.
-func (c *Coordinator) acquire(ctx context.Context, key string) (*workerProc, error) {
+// acquire blocks until a worker is free and takes the lowest free one. It
+// fails fast when the whole fleet is dead or the context is cancelled.
+func (c *Coordinator) acquire(ctx context.Context) (*workerProc, error) {
 	stop := context.AfterFunc(ctx, func() {
 		c.mu.Lock()
 		c.cond.Broadcast()
@@ -273,28 +253,19 @@ func (c *Coordinator) acquire(ctx context.Context, key string) (*workerProc, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		homeID, hasHome := c.home[key]
-		alive := 0
-		pick := -1
-		for i := range c.workers {
+		alive := false
+		for i, w := range c.workers {
 			if c.dead[i] {
 				continue
 			}
-			alive++
-			if c.busy[i] {
-				continue
-			}
-			// Home affinity first; otherwise steal the lowest free worker.
-			if pick == -1 || (hasHome && i == homeID) {
-				pick = i
+			alive = true
+			if !c.busy[i] {
+				c.busy[i] = true
+				return w, nil
 			}
 		}
-		if alive == 0 {
+		if !alive {
 			return nil, errAllDead
-		}
-		if pick >= 0 {
-			c.busy[pick] = true
-			return c.workers[pick], nil
 		}
 		c.cond.Wait()
 	}

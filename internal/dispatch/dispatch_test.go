@@ -341,8 +341,7 @@ func TestCollectCacheSkipsDeadWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// With no home negotiated, a direct Run takes the lowest free worker:
-	// every job lands on worker 0.
+	// A Run takes the lowest free worker: every job lands on worker 0.
 	for _, target := range []string{"kv", "kv-fixed"} {
 		rm, _ := c.Run(t.Context(), campaign.Job{Target: target, Mode: core.ModeOptimized}, 1)
 		if rm.Error != "" {
@@ -444,10 +443,10 @@ func TestStartRejectsVersionSkew(t *testing.T) {
 	}
 }
 
-// TestHomeAffinityIsStable: Negotiate derives each job's home worker from
-// its fingerprint alone, so the shard assignment is identical across
-// repeated negotiations and independent of pending-list order.
-func TestHomeAffinityIsStable(t *testing.T) {
+// TestNegotiateSplitsBudget: Negotiate grants one lane per worker, capped
+// at the pending job count, and splits the whole budget across the lanes
+// with none floored to zero.
+func TestNegotiateSplitsBudget(t *testing.T) {
 	testutil.CheckGoroutineLeak(t)
 	c, err := Start(Config{Workers: 4, spawn: inprocFleet(freshWorkers)})
 	if err != nil {
@@ -472,16 +471,5 @@ func TestHomeAffinityIsStable(t *testing.T) {
 	}
 	if sum != 8 {
 		t.Fatalf("grants %v sum to %d, want the full budget 8", grants, sum)
-	}
-	first := map[string]int{}
-	for k, v := range c.home {
-		first[k] = v
-	}
-	// Reverse the pending order; homes must not move.
-	c.Negotiate(8, []campaign.PlannedJob{pending[2], pending[1], pending[0]})
-	for k, v := range c.home {
-		if first[k] != v {
-			t.Fatalf("home of %s moved %d -> %d across negotiations", k, first[k], v)
-		}
 	}
 }

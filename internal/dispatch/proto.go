@@ -7,10 +7,10 @@
 // analyzers over local shards, a coordinator aggregating evidence) mapped
 // onto Achilles' job graph:
 //
-//   - the coordinator partitions jobs by input fingerprint — the stable
-//     shard key introduced for incremental audits — so every job has a
-//     deterministic "home" worker, and lets any idle worker steal a job
-//     homed elsewhere rather than idling behind a straggler;
+//   - the coordinator hands each job to the lowest-numbered free worker,
+//     so no worker idles behind a straggler. Workers are spawned per run
+//     and every one gets the same cache seed, so where a job runs earns no
+//     cache reuse;
 //   - coordinator and workers speak a versioned JSONL protocol over the
 //     worker's stdin/stdout: the seed, jobs and collect requests flow down;
 //     reports, manifests and collect replies flow up.

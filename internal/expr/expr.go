@@ -176,15 +176,6 @@ func (e *Expr) IsTrue() bool { return e.Kind == KBool && e.Val == 1 }
 // IsFalse reports whether e is the literal false.
 func (e *Expr) IsFalse() bool { return e.Kind == KBool && e.Val == 0 }
 
-// IsBool reports whether e produces a boolean value.
-func (e *Expr) IsBool() bool {
-	switch e.Kind {
-	case KBool, KEq, KNe, KLt, KLe, KGt, KGe, KAnd, KOr, KNot:
-		return true
-	}
-	return false
-}
-
 // Hash returns the structural hash of e.
 func (e *Expr) Hash() uint64 { return e.hash }
 

@@ -37,9 +37,6 @@ func (t Type) String() string {
 	return "?"
 }
 
-// IsScalar reports whether t is int or bool.
-func (t Type) IsScalar() bool { return t.Kind == TypeInt || t.Kind == TypeBool }
-
 // RefKind classifies what an identifier resolved to.
 type RefKind uint8
 

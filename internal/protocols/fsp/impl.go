@@ -74,13 +74,6 @@ func (fs *FS) List() []string {
 	return out
 }
 
-// Stats.
-func (fs *FS) NumFiles() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.files)
-}
-
 // Server is the concrete FSP server.
 type Server struct {
 	FS *FS

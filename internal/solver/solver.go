@@ -35,7 +35,6 @@ package solver
 
 import (
 	"context"
-	"fmt"
 	"maps"
 	"slices"
 	"sort"
@@ -958,14 +957,4 @@ func (s *Solver) finish(cs *conjState) (Result, expr.Env) {
 		}
 	}
 	return Sat, env
-}
-
-// MustModel is a test helper: it checks the constraints and panics unless
-// they are satisfiable, returning the model.
-func (s *Solver) MustModel(constraints []*expr.Expr) expr.Env {
-	res, m := s.Check(constraints)
-	if res != Sat {
-		panic(fmt.Sprintf("solver: expected sat, got %v for %v", res, constraints))
-	}
-	return m
 }

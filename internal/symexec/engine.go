@@ -15,18 +15,20 @@
 // concrete mode, which guarantees that analysis and replay agree on the
 // program semantics.
 //
-// With Options.Parallelism > 1 the engine explores independent branches of
-// the fork tree on a pool of workers sharing one frontier (see parallel.go).
-// The explored tree is identical to the sequential one — feasibility depends
-// only on the path, and the solver is deterministic — and terminal states
-// are merged in fork-tree order (State.Trail), so results are deterministic
-// and independent of worker scheduling.
+// Every run, symbolic or concrete, goes through one exploration loop: a
+// LIFO frontier shared by max(1, Options.Parallelism) workers (see
+// parallel.go). The explored tree does not depend on the worker count —
+// feasibility depends only on the path, and the solver is deterministic —
+// and terminal states come back in fork-tree order (State.Trail) with IDs
+// renumbered to it, so results are the same whatever the worker count and
+// scheduling.
 package symexec
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"achilles/internal/expr"
@@ -108,6 +110,8 @@ type StateData interface{ CloneData() StateData }
 
 // State is one symbolic (or concrete) execution state.
 type State struct {
+	// ID numbers the state: in creation order while the run is live (as
+	// hooks see it), and in Trail order, 0..n−1, in the run's Result.
 	ID      int
 	Globals []Value
 	Frames  []Frame
@@ -117,13 +121,9 @@ type State struct {
 
 	// Trail is the state's position in the fork tree: one byte per forking
 	// branch, '0' for the true side and '1' for the false side. Terminal
-	// states have unique trails, making lexicographic trail order the
-	// canonical, scheduling-independent merge order for parallel runs. In
-	// hook-free runs it equals the sequential engine's depth-first
-	// completion order exactly; with an OnBranch hook the sequential order
-	// differs only in that hook-pruned siblings are recorded at fork time
-	// (ahead of their trail position) — accepted states still complete in
-	// trail order either way.
+	// states have unique trails, and every Result lists them in
+	// lexicographic trail order — the depth-first order of the fork tree,
+	// whatever the worker count.
 	Trail string
 
 	Sent    []SentMessage // messages sent on this path
@@ -169,7 +169,8 @@ func (st *State) PathExpr() *expr.Expr { return expr.AndAll(st.Path) }
 // Hooks intercept engine events. Any hook may be nil. When the engine runs
 // with Parallelism > 1 the hooks are invoked concurrently from the worker
 // goroutines and must be safe for concurrent use; the state passed to a hook
-// is owned by the calling worker and may be mutated freely.
+// is owned by the calling worker and may be mutated freely. A hook sees a
+// state's creation-order ID, not the trail-order ID of the Result.
 type Hooks struct {
 	// OnBranch runs after a new symbolic branch constraint was appended to
 	// st.Path. Returning false prunes the state (StatusPruned).
@@ -195,17 +196,17 @@ type Options struct {
 	// Hooks intercept events.
 	Hooks Hooks
 
-	// Parallelism is the number of exploration workers. Values <= 1 select
-	// the sequential engine; concrete runs are always sequential (a concrete
-	// run is a single path). Terminal states of a parallel run are returned
-	// in fork-tree (Trail) order with IDs renumbered to that order, so for
-	// runs that complete within MaxStates the result is deterministic for
-	// any worker count. A run truncated by MaxStates keeps a scheduling-
-	// dependent subset under parallelism (the sequential engine keeps the
-	// depth-first prefix); both engines enforce the budget on the recorded
-	// terminal count and raise Stats.Truncated, so callers can refuse to
-	// treat a partial terminal set as the full fork tree. Size MaxStates as
-	// a runaway backstop, not as a sampling mechanism.
+	// Parallelism is the number of exploration workers; values <= 1 run one
+	// worker on the calling goroutine, and a concrete run (a single path)
+	// always runs one. The analysis sets it for Target.ServerExec and
+	// ClientExec from its own Parallelism. Terminal states come back in
+	// fork-tree (Trail) order with IDs renumbered to that order, so a run
+	// that completes within MaxStates returns the same result at any worker
+	// count. The MaxStates budget counts recorded terminal states and
+	// raises Stats.Truncated when it stops the frontier; one worker then
+	// keeps the depth-first prefix, several keep a scheduling-dependent
+	// subset. Size MaxStates as a runaway backstop, not as a sampling
+	// mechanism.
 	Parallelism int
 
 	// Concrete switches to concrete execution: inputs come from Inputs and
@@ -269,11 +270,9 @@ type Stats struct {
 
 	// Truncated reports that the exploration stopped before the fork tree
 	// was exhausted — either MaxStates tripped while unexplored states
-	// remained on the worklist, or the run's context was cancelled. The
+	// remained on the frontier, or the run's context was cancelled. The
 	// terminal set (and everything derived from it, e.g. a Trojan class set)
-	// is a partial sample, not the full fork tree. Sequential and parallel
-	// runs enforce the MaxStates budget on the same counter — terminal
-	// states recorded — so the flag trips identically in both modes.
+	// is a partial sample, not the full fork tree.
 	Truncated bool
 
 	// Cancelled reports that the run's context was cancelled (or its
@@ -284,7 +283,7 @@ type Stats struct {
 
 // Result is the outcome of a run.
 type Result struct {
-	// Terminal states in completion order.
+	// Terminal states in fork-tree (Trail) order; each one's ID is its index.
 	States []*State
 	Stats  Stats
 }
@@ -300,33 +299,33 @@ func (r *Result) ByStatus(s Status) []*State {
 	return out
 }
 
-// Engine executes one compiled unit.
-type Engine struct {
+// engine is the state of one run of a compiled unit.
+type engine struct {
 	unit *lang.Unit
 	opts Options
-	res  *Result
-	next atomic.Int64 // state id counter
+	ctx  context.Context // run context, never nil
+	next atomic.Int64    // creation-order state id counter
 
-	par       bool            // parallel run in progress
-	termCount atomic.Int64    // terminal states recorded (MaxStates enforcement)
-	front     *frontier       // shared work queue (parallel mode)
-	ctx       context.Context // run context (never nil during a run)
-	cancelled atomic.Bool     // ctx fired before the exploration finished
+	front     frontier       // the run's work queue
+	helpers   sync.WaitGroup // workers 1..n-1; worker 0 is the caller
+	termCount atomic.Int64   // terminal states recorded (MaxStates enforcement)
+	cancelled atomic.Bool    // ctx fired before the exploration finished
 }
 
 // stepCheckMask paces cancellation polling inside the interpreter loop:
 // ctx.Err() can take a lock, so a running state only consults it every 256
-// instructions (and at every state/fork boundary). A few hundred IR steps
-// complete in microseconds, keeping abort latency far below any deadline a
-// caller would set.
+// instructions; between polls the AfterFunc callback stops the frontier. A
+// few hundred IR steps complete in microseconds, keeping abort latency far
+// below any deadline a caller would set.
 const stepCheckMask = 255
 
-// ctxAborted reports (and records) that the run context is cancelled.
-func (e *Engine) ctxAborted() bool {
+// ctxAborted reports that the run context is cancelled, and then stops the
+// frontier without waiting for the AfterFunc callback.
+func (e *engine) ctxAborted() bool {
 	if e.ctx.Err() == nil {
 		return false
 	}
-	e.cancelled.Store(true)
+	e.abort()
 	return true
 }
 
@@ -337,113 +336,48 @@ type wctx struct {
 	terminals []*State
 }
 
-// record books a terminal state into the worker context and bumps the global
-// terminal count — the single counter both engines truncate on. In parallel
-// mode reaching MaxStates additionally stops the shared frontier.
-func (e *Engine) record(ctx *wctx, st *State) {
+// record books a terminal state into the worker context and bumps the run's
+// terminal count; reaching MaxStates stops the frontier.
+func (e *engine) record(ctx *wctx, st *State) {
 	ctx.stats.States++
 	ctx.terminals = append(ctx.terminals, st)
-	if int(e.termCount.Add(1)) >= e.opts.MaxStates && e.par {
+	if int(e.termCount.Add(1)) >= e.opts.MaxStates {
 		e.front.stop()
 	}
-}
-
-// New creates an engine for the unit.
-func New(unit *lang.Unit, opts Options) *Engine {
-	return &Engine{unit: unit, opts: opts.withDefaults()}
 }
 
 // Run explores the program from the entry function and returns all terminal
 // states.
 func Run(unit *lang.Unit, opts Options) (*Result, error) {
-	return New(unit, opts).Run()
+	return RunCtx(context.Background(), unit, opts)
 }
 
 // RunCtx is Run under a context: cancellation (or a deadline) aborts the
 // exploration cleanly mid-frontier. The terminal states recorded up to the
 // abort are returned with Stats.Truncated and Stats.Cancelled set; like a
-// MaxStates truncation, which subset survives is scheduling-dependent under
-// parallelism.
+// MaxStates truncation, which subset survives depends on scheduling when
+// several workers run.
 func RunCtx(ctx context.Context, unit *lang.Unit, opts Options) (*Result, error) {
-	return New(unit, opts).RunCtx(ctx)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	opts = opts.withDefaults()
+	entry := unit.FuncNamed(opts.Entry)
+	if entry == nil {
+		return nil, fmt.Errorf("%w: %q", ErrEntryMissing, opts.Entry)
+	}
+	if len(entry.Params) != 0 {
+		return nil, fmt.Errorf("symexec: entry function %q must take no parameters", opts.Entry)
+	}
+	e := &engine{unit: unit, opts: opts, ctx: ctx}
+	return e.explore(e.initialState(entry)), nil
 }
 
 // ErrEntryMissing is returned when the entry function does not exist.
 var ErrEntryMissing = errors.New("symexec: entry function not found")
 
-// Run performs the exploration.
-func (e *Engine) Run() (*Result, error) {
-	return e.RunCtx(context.Background())
-}
-
-// RunCtx performs the exploration under ctx; see the package-level RunCtx.
-func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	entry := e.unit.FuncNamed(e.opts.Entry)
-	if entry == nil {
-		return nil, fmt.Errorf("%w: %q", ErrEntryMissing, e.opts.Entry)
-	}
-	if len(entry.Params) != 0 {
-		return nil, fmt.Errorf("symexec: entry function %q must take no parameters", e.opts.Entry)
-	}
-	e.res = &Result{}
-	// Run may be called repeatedly on one Engine: the MaxStates terminal
-	// counter (and the parallel-run state) is per-run, not per-engine.
-	e.termCount.Store(0)
-	e.par = false
-	e.front = nil
-	e.ctx = ctx
-	e.cancelled.Store(false)
-	init := e.initialState(entry)
-	if e.opts.Parallelism > 1 && !e.opts.Concrete {
-		e.runParallel(init)
-	} else {
-		e.runSequential(init)
-	}
-	if e.res.Stats.Cancelled {
-		e.res.Stats.Truncated = true
-	}
-	return e.res, nil
-}
-
-// runSequential is the classic depth-first worklist loop.
-func (e *Engine) runSequential(init *State) {
-	ctx := &wctx{}
-	work := []*State{init}
-	for len(work) > 0 {
-		if int(e.termCount.Load()) >= e.opts.MaxStates {
-			break
-		}
-		if e.ctxAborted() {
-			break
-		}
-		st := work[len(work)-1]
-		work = work[:len(work)-1]
-		for st.Status == StatusRunning {
-			if st.Steps&stepCheckMask == 0 && e.ctxAborted() {
-				break
-			}
-			child := e.step(ctx, st)
-			if child != nil {
-				work = append(work, child)
-			}
-		}
-		if st.Status == StatusRunning {
-			// Aborted mid-state: the state is incomplete, not terminal.
-			break
-		}
-		e.record(ctx, st)
-	}
-	ctx.stats.Cancelled = e.cancelled.Load()
-	ctx.stats.Truncated = len(work) > 0 || ctx.stats.Cancelled
-	e.res.States = ctx.terminals
-	e.res.Stats = ctx.stats
-}
-
 // initialState builds globals and the entry frame.
-func (e *Engine) initialState(entry *lang.IRFunc) *State {
+func (e *engine) initialState(entry *lang.IRFunc) *State {
 	st := &State{ID: int(e.next.Add(1) - 1)}
 	st.Globals = make([]Value, len(e.unit.Globals))
 	for i, g := range e.unit.Globals {
@@ -475,7 +409,7 @@ func (e *Engine) initialState(entry *lang.IRFunc) *State {
 }
 
 // fork deep-copies a state, preserving array aliasing.
-func (e *Engine) fork(ctx *wctx, st *State) *State {
+func (e *engine) fork(ctx *wctx, st *State) *State {
 	ns := &State{
 		ID:          int(e.next.Add(1) - 1),
 		Status:      st.Status,
@@ -523,14 +457,14 @@ func (e *Engine) fork(ctx *wctx, st *State) *State {
 }
 
 // fail marks the state as errored.
-func (e *Engine) fail(st *State, pos lang.Pos, format string, args ...any) {
+func (e *engine) fail(st *State, pos lang.Pos, format string, args ...any) {
 	st.Status = StatusError
 	st.Err = fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...))
 }
 
 // step executes one instruction. It returns a forked sibling state to
 // enqueue, or nil.
-func (e *Engine) step(ctx *wctx, st *State) *State {
+func (e *engine) step(ctx *wctx, st *State) *State {
 	st.Steps++
 	ctx.stats.Steps++
 	if st.Steps > e.opts.MaxSteps {
@@ -671,7 +605,7 @@ func (e *Engine) step(ctx *wctx, st *State) *State {
 func (fr *Frame) Code() []lang.Instr { return fr.Fn.Code }
 
 // branch handles OpCJmp. It may fork, returning the sibling state.
-func (e *Engine) branch(ctx *wctx, st *State, fr *Frame, in *lang.Instr, cond *expr.Expr) *State {
+func (e *engine) branch(ctx *wctx, st *State, fr *Frame, in *lang.Instr, cond *expr.Expr) *State {
 	if cond.IsBoolLit() {
 		if cond.IsTrue() {
 			fr.PC = in.A
@@ -727,7 +661,7 @@ func (e *Engine) branch(ctx *wctx, st *State, fr *Frame, in *lang.Instr, cond *e
 	}
 }
 
-func (e *Engine) fireBranch(st *State, cond *expr.Expr) bool {
+func (e *engine) fireBranch(st *State, cond *expr.Expr) bool {
 	if e.opts.Hooks.OnBranch == nil {
 		return true
 	}
@@ -750,7 +684,7 @@ func (e *Engine) fireBranch(st *State, cond *expr.Expr) bool {
 // so one side of such a two-sided branch is always answered this way.
 // Otherwise the query runs through the prefix handle, reusing the path's
 // flattened form instead of re-flattening the shared prefix.
-func (e *Engine) feasible(ctx *wctx, st *State, cond *expr.Expr) (bool, expr.Env) {
+func (e *engine) feasible(ctx *wctx, st *State, cond *expr.Expr) (bool, expr.Env) {
 	if cond.IsTrue() {
 		return true, st.model
 	}
@@ -782,7 +716,7 @@ func (e *Engine) feasible(ctx *wctx, st *State, cond *expr.Expr) (bool, expr.Env
 var witnessHook func(path []*expr.Expr, cond *expr.Expr, model expr.Env)
 
 // intrinsic executes an OpIntrin instruction.
-func (e *Engine) intrinsic(ctx *wctx, st *State, fr *Frame, in *lang.Instr) *State {
+func (e *engine) intrinsic(ctx *wctx, st *State, fr *Frame, in *lang.Instr) *State {
 	switch in.Bi {
 	case lang.BRecv:
 		ve := in.Args[0].(*lang.VarExpr)
@@ -892,7 +826,7 @@ func (e *Engine) intrinsic(ctx *wctx, st *State, fr *Frame, in *lang.Instr) *Sta
 }
 
 // readVar reads a storage location relative to the given frame.
-func (e *Engine) readVar(st *State, fr *Frame, ref lang.VarRef) Value {
+func (e *engine) readVar(st *State, fr *Frame, ref lang.VarRef) Value {
 	if ref.Global {
 		return st.Globals[ref.Idx]
 	}
@@ -900,7 +834,7 @@ func (e *Engine) readVar(st *State, fr *Frame, ref lang.VarRef) Value {
 }
 
 // readVarRef reads through a checker Ref (local/global).
-func (e *Engine) readVarRef(st *State, fr *Frame, ref lang.Ref) Value {
+func (e *engine) readVarRef(st *State, fr *Frame, ref lang.Ref) Value {
 	switch ref.Kind {
 	case lang.RefLocal:
 		return fr.Slots[ref.Idx]
@@ -910,7 +844,7 @@ func (e *Engine) readVarRef(st *State, fr *Frame, ref lang.Ref) Value {
 	return Value{}
 }
 
-func (e *Engine) writeVar(st *State, fr *Frame, ref lang.VarRef, v Value) {
+func (e *engine) writeVar(st *State, fr *Frame, ref lang.VarRef, v Value) {
 	if ref.Global {
 		st.Globals[ref.Idx] = v
 		return

@@ -10,7 +10,7 @@ import (
 // eval converts an NL expression into a symbolic expression against the
 // state's stores. Pure builtins (input, symbolic, len) are evaluated here;
 // in concrete mode input() pops from the provided input queue.
-func (e *Engine) eval(st *State, fr *Frame, le lang.Expr) (*expr.Expr, error) {
+func (e *engine) eval(st *State, fr *Frame, le lang.Expr) (*expr.Expr, error) {
 	switch le := le.(type) {
 	case *lang.IntLit:
 		return expr.Const(le.Val), nil

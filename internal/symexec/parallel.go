@@ -1,26 +1,22 @@
 package symexec
 
 import (
-	"sort"
+	"context"
+	"slices"
+	"strings"
 	"sync"
 )
 
-// frontier is the shared exploration queue of a parallel run. It counts
-// pending states (queued or currently executing) so that workers can tell
-// "momentarily empty" apart from "exploration finished": a running state may
-// still fork new work onto the stack.
+// frontier is the exploration queue of a run: a LIFO stack shared by the
+// run's workers. It counts pending states (queued or currently executing)
+// so that workers can tell "momentarily empty" apart from "exploration
+// finished": a running state may still fork new work onto the stack.
 type frontier struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond // L is &mu
 	stack   []*State
 	pending int
 	stopped bool
-}
-
-func newFrontier() *frontier {
-	f := &frontier{}
-	f.cond = sync.NewCond(&f.mu)
-	return f
 }
 
 // push enqueues a state and wakes one idle worker.
@@ -33,7 +29,8 @@ func (f *frontier) push(st *State) {
 }
 
 // pop blocks until a state is available; it returns nil when the exploration
-// is complete (no queued and no running states) or was stopped.
+// is complete (no queued and no running states) or was stopped. A single
+// worker never blocks: its own state is done before it pops again.
 func (f *frontier) pop() *State {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -68,94 +65,102 @@ func (f *frontier) stop() {
 }
 
 // leftover reports whether unexplored states remained queued when the run
-// ended — the truncation signal of a stopped parallel exploration.
+// ended — the truncation signal of a stopped exploration.
 func (f *frontier) leftover() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.stack) > 0
 }
 
-// runParallel explores the fork tree on Options.Parallelism workers. Each
+// abort stops the frontier because the run's context fired, and marks the
+// run cancelled unless its frontier had already drained: a run that
+// finished its tree before the context fired is complete.
+func (e *engine) abort() {
+	f := &e.front
+	f.mu.Lock()
+	if f.pending > 0 {
+		e.cancelled.Store(true)
+		f.stopped = true
+	}
+	f.mu.Unlock()
+	f.cond.Broadcast()
+}
+
+// explore runs the fork tree from init on max(1, Parallelism) workers —
+// one for a concrete run, which is a single path — and merges their
+// terminal states. Worker 0 is the calling goroutine, so a one-worker run
+// starts no goroutine and pops states in depth-first (LIFO) order. Each
 // worker pops a state, runs it to a terminal status — publishing forked
-// siblings to the shared frontier so idle workers pick them up — and records
-// terminals into its private context. The merge is deterministic: terminal
-// states are sorted by Trail (the canonical fork-tree order; see
-// State.Trail for how it relates to the sequential completion order) and
-// IDs are renumbered to that order.
+// siblings to the frontier, where idle workers pick them up — and records
+// terminals into its private context. The merge sorts terminal states by
+// Trail, the fork-tree order, and renumbers IDs to it, so the result does
+// not depend on the worker count or on scheduling.
 //
-// Cancellation: a watcher goroutine stops the frontier the moment the run
-// context fires, waking blocked workers; running workers additionally poll
-// the context at state boundaries and every stepCheckMask instructions, so
-// no worker outlives the cancellation by more than a few hundred IR steps.
-// A state caught mid-execution is dropped, not recorded — its status is
-// still StatusRunning, and a half-executed state must not masquerade as a
-// terminal one.
-func (e *Engine) runParallel(init *State) {
-	e.par = true
-	e.front = newFrontier()
+// Cancellation: context.AfterFunc stops the frontier the moment the run
+// context fires, waking blocked workers; running workers poll the context
+// every stepCheckMask instructions. A state caught mid-execution is
+// dropped, not recorded — its status is still StatusRunning, and a
+// half-executed state must not masquerade as a terminal one.
+func (e *engine) explore(init *State) *Result {
+	workers := 1
+	if !e.opts.Concrete {
+		workers = max(1, e.opts.Parallelism)
+	}
+	e.front.cond.L = &e.front.mu
 	e.front.push(init)
-
-	watchDone := make(chan struct{})
 	if e.ctx.Done() != nil {
-		go func() {
-			select {
-			case <-e.ctx.Done():
-				e.cancelled.Store(true)
-				e.front.stop()
-			case <-watchDone:
-			}
-		}()
+		defer context.AfterFunc(e.ctx, e.abort)()
 	}
+	var first wctx
+	rest := make([]wctx, workers-1)
+	e.helpers.Add(len(rest))
+	for i := range rest {
+		go func(w *wctx) {
+			defer e.helpers.Done()
+			e.work(w)
+		}(&rest[i])
+	}
+	e.work(&first)
+	e.helpers.Wait()
 
-	workers := e.opts.Parallelism
-	ctxs := make([]*wctx, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		ctx := &wctx{}
-		ctxs[w] = ctx
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				st := e.front.pop()
-				if st == nil {
-					return
-				}
-				for st.Status == StatusRunning {
-					if st.Steps&stepCheckMask == 0 && e.ctxAborted() {
-						break
-					}
-					if sibling := e.step(ctx, st); sibling != nil {
-						e.front.push(sibling)
-					}
-				}
-				if st.Status != StatusRunning {
-					e.record(ctx, st)
-				}
-				e.front.done()
-			}
-		}()
+	res := &Result{States: first.terminals, Stats: first.stats}
+	for _, w := range rest {
+		res.States = append(res.States, w.terminals...)
+		res.Stats.States += w.stats.States
+		res.Stats.Forks += w.stats.Forks
+		res.Stats.Steps += w.stats.Steps
+		res.Stats.SolverCalls += w.stats.SolverCalls
+		res.Stats.Subsumed += w.stats.Subsumed
+		res.Stats.Witnessed += w.stats.Witnessed
 	}
-	wg.Wait()
-	close(watchDone)
-
-	var all []*State
-	var stats Stats
-	for _, ctx := range ctxs {
-		all = append(all, ctx.terminals...)
-		stats.States += ctx.stats.States
-		stats.Forks += ctx.stats.Forks
-		stats.Steps += ctx.stats.Steps
-		stats.SolverCalls += ctx.stats.SolverCalls
-		stats.Subsumed += ctx.stats.Subsumed
-		stats.Witnessed += ctx.stats.Witnessed
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Trail < all[j].Trail })
-	for i, st := range all {
+	slices.SortFunc(res.States, func(a, b *State) int { return strings.Compare(a.Trail, b.Trail) })
+	for i, st := range res.States {
 		st.ID = i
 	}
-	stats.Cancelled = e.cancelled.Load()
-	stats.Truncated = e.front.leftover() || stats.Cancelled
-	e.res.States = all
-	e.res.Stats = stats
+	res.Stats.Cancelled = e.cancelled.Load()
+	res.Stats.Truncated = e.front.leftover() || res.Stats.Cancelled
+	return res
+}
+
+// work is one worker's loop: pop a state, run it to a terminal status and
+// record it, until the frontier is drained or stopped.
+func (e *engine) work(w *wctx) {
+	for {
+		st := e.front.pop()
+		if st == nil {
+			return
+		}
+		for st.Status == StatusRunning {
+			if st.Steps&stepCheckMask == 0 && e.ctxAborted() {
+				break
+			}
+			if sibling := e.step(w, st); sibling != nil {
+				e.front.push(sibling)
+			}
+		}
+		if st.Status != StatusRunning {
+			e.record(w, st)
+		}
+		e.front.done()
+	}
 }

@@ -6,8 +6,11 @@ package symexec_test
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"achilles/internal/expr"
 	"achilles/internal/protocols/fsp"
 	"achilles/internal/symexec"
 )
@@ -17,35 +20,56 @@ func stateKey(s *symexec.State) string {
 	return fmt.Sprintf("%v|%s|%s", s.Status, s.Trail, s.PathExpr())
 }
 
+// sameStates fails unless got lists the states of want, in want's order.
+func sameStates(t *testing.T, got, want []*symexec.State) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("frontier recorded %d states, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if gk, wk := stateKey(got[i]), stateKey(want[i]); gk != wk {
+			t.Fatalf("state %d differs:\n  reference %s\n  frontier  %s", i, wk, gk)
+		}
+	}
+}
+
 // TestParallelFrontierMatchesSequential explores the FSP server model with
 // 1, 2, 4 and 8 workers and asserts the terminal state list is identical to
-// the sequential engine's — same states, same order (the parallel merge sorts
-// by Trail, which equals the sequential depth-first completion order).
+// a plain depth-first worklist's — same states, same order (the frontier
+// sorts by Trail, which equals the depth-first completion order of a
+// hook-free run). One worker under a MaxStates budget must keep the
+// depth-first prefix.
 func TestParallelFrontierMatchesSequential(t *testing.T) {
 	unit := fsp.ServerUnit()
-	seq, err := symexec.Run(unit, symexec.Options{})
+	seq, err := symexec.ReferenceDFS(unit, symexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range []int{1, 2, 4, 8} {
-		j := j
 		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
 			par, err := symexec.Run(unit, symexec.Options{Parallelism: j})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(par.States) != len(seq.States) {
-				t.Fatalf("parallel %d states, sequential %d", len(par.States), len(seq.States))
-			}
-			for i := range seq.States {
-				if sk, pk := stateKey(seq.States[i]), stateKey(par.States[i]); sk != pk {
-					t.Fatalf("state %d differs:\n  seq %s\n  par %s", i, sk, pk)
-				}
-			}
+			sameStates(t, par.States, seq.States)
 			if par.Stats.States != seq.Stats.States || par.Stats.Forks != seq.Stats.Forks {
 				t.Fatalf("stats differ: par %+v, seq %+v", par.Stats, seq.Stats)
 			}
 		})
+	}
+	budget := seq.Stats.States / 3
+	ref, err := symexec.ReferenceDFS(unit, symexec.Options{MaxStates: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := symexec.Run(unit, symexec.Options{MaxStates: budget, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameStates(t, got.States, ref.States)
+	sameStates(t, got.States, seq.States[:len(got.States)])
+	if got.Stats != ref.Stats {
+		t.Fatalf("budgeted stats differ: frontier %+v, reference %+v", got.Stats, ref.Stats)
 	}
 }
 
@@ -65,16 +89,59 @@ func TestParallelTrailsUnique(t *testing.T) {
 	}
 }
 
-// TestParallelIDsAreTrailOrdered asserts parallel runs renumber state IDs in
-// merge order, so downstream reports are reproducible run to run.
+// TestParallelIDsAreTrailOrdered asserts every run renumbers state IDs in
+// merge order, whatever the worker count, so downstream reports are
+// reproducible run to run.
 func TestParallelIDsAreTrailOrdered(t *testing.T) {
-	res, err := symexec.Run(fsp.ServerUnit(), symexec.Options{Parallelism: 4})
+	for _, j := range []int{0, 1, 4} {
+		res, err := symexec.Run(fsp.ServerUnit(), symexec.Options{Parallelism: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range res.States {
+			if st.ID != i {
+				t.Fatalf("j=%d: state %d has ID %d after merge", j, i, st.ID)
+			}
+		}
+	}
+}
+
+// TestHookPrunedStatesInTrailOrder: a sibling an OnBranch hook prunes is
+// recorded at fork time, ahead of the states its elder forks later, yet
+// the result lists it at its trail position at every worker count, with
+// the same states as the depth-first reference.
+func TestHookPrunedStatesInTrailOrder(t *testing.T) {
+	unit := fsp.ServerUnit()
+	// Prune the false side of every fork at odd depth.
+	opts := symexec.Options{Hooks: symexec.Hooks{
+		OnBranch: func(st *symexec.State, _ *expr.Expr) bool {
+			return !(len(st.Trail)%2 == 1 && strings.HasSuffix(st.Trail, "1"))
+		},
+	}}
+	ref, err := symexec.ReferenceDFS(unit, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range res.States {
-		if st.ID != i {
-			t.Fatalf("state %d has ID %d after merge", i, st.ID)
-		}
+	byTrail := func(a, b *symexec.State) int { return strings.Compare(a.Trail, b.Trail) }
+	if len(ref.ByStatus(symexec.StatusPruned)) == 0 || slices.IsSortedFunc(ref.States, byTrail) {
+		t.Fatal("the hook prunes no sibling ahead of its trail position; the test is vacuous")
+	}
+	want := slices.Clone(ref.States)
+	slices.SortFunc(want, byTrail)
+	for _, j := range []int{1, 4} {
+		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
+			o := opts
+			o.Parallelism = j
+			res, err := symexec.Run(unit, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameStates(t, res.States, want)
+			for i, st := range res.States {
+				if st.ID != i {
+					t.Fatalf("state %d has ID %d", i, st.ID)
+				}
+			}
+		})
 	}
 }

@@ -1,10 +1,9 @@
 package symexec_test
 
-// Truncation semantics: a run cut off by MaxStates must say so. Both engines
-// enforce the budget on the same counter (terminal states recorded), so the
-// Truncated flag trips identically for sequential and parallel runs —
-// regression tests for the silent-partial-result bug where a MaxStates hit
-// yielded a partial Trojan class set flagged as complete.
+// Truncation semantics: a run cut off by MaxStates must say so. The budget
+// counts terminal states recorded, so the Truncated flag trips at every
+// worker count — regression tests for the silent-partial-result bug where a
+// MaxStates hit yielded a partial Trojan class set flagged as complete.
 
 import (
 	"fmt"
@@ -16,7 +15,7 @@ import (
 
 func TestTruncatedFlagSequentialAndParallel(t *testing.T) {
 	unit := fsp.ServerUnit()
-	full, err := symexec.Run(unit, symexec.Options{})
+	full, err := symexec.ReferenceDFS(unit, symexec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +26,14 @@ func TestTruncatedFlagSequentialAndParallel(t *testing.T) {
 		t.Fatalf("FSP server model too small for a truncation test: %d terminals", full.Stats.States)
 	}
 	budget := full.Stats.States / 2
+	ref, err := symexec.ReferenceDFS(unit, symexec.Options{MaxStates: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ref.Stats.Truncated || ref.Stats.States != budget {
+		t.Fatalf("reference with MaxStates=%d: %+v", budget, ref.Stats)
+	}
 	for _, j := range []int{1, 4} {
-		j := j
 		t.Run(fmt.Sprintf("j%d", j), func(t *testing.T) {
 			res, err := symexec.Run(unit, symexec.Options{MaxStates: budget, Parallelism: j})
 			if err != nil {
@@ -42,31 +47,11 @@ func TestTruncatedFlagSequentialAndParallel(t *testing.T) {
 				t.Fatalf("truncated run recorded %d terminals, full run %d",
 					res.Stats.States, full.Stats.States)
 			}
+			if j == 1 {
+				// One worker keeps the depth-first prefix.
+				sameStates(t, res.States, ref.States)
+			}
 		})
-	}
-}
-
-// TestEngineReuseResetsTruncation: the MaxStates terminal counter is
-// per-run, so a reused Engine explores the same tree every time instead of
-// inheriting the previous run's count and truncating instantly.
-func TestEngineReuseResetsTruncation(t *testing.T) {
-	unit := fsp.ServerUnit()
-	full, err := symexec.Run(unit, symexec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := symexec.New(unit, symexec.Options{MaxStates: full.Stats.States / 2})
-	first, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.States != first.Stats.States || !second.Stats.Truncated {
-		t.Fatalf("second run on a reused engine diverged: first %+v, second %+v",
-			first.Stats, second.Stats)
 	}
 }
 

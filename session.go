@@ -32,8 +32,9 @@ const (
 	// EventPhase marks a pipeline phase transition; Event.Phase names it.
 	EventPhase EventKind = iota
 	// EventTrojan carries a Trojan report the moment it is confirmed;
-	// Event.Trojan is set. The report's Index is the discovery order — the
-	// final result list is re-indexed in canonical fork-tree order.
+	// Event.Trojan is set. The report's Index (discovery order) and
+	// ServerStateID (creation order) are provisional — the final result
+	// list renumbers both in canonical fork-tree order.
 	EventTrojan
 	// EventProgress carries a periodic progress snapshot; Event.Progress is
 	// set.
