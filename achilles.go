@@ -100,7 +100,9 @@ const (
 // Compile parses, checks and lowers an NL node program.
 func Compile(src string) (*Unit, error) { return lang.Compile(src) }
 
-// MustCompile is Compile for known-good sources; it panics on error.
+// MustCompile is Compile for known-good sources; it panics on error. Each
+// source compiles once per process: later calls with the same source return
+// the same *Unit, which callers must treat as read-only.
 func MustCompile(src string) *Unit { return lang.MustCompile(src) }
 
 // ExtractClientPredicate runs only phase 1.

@@ -266,7 +266,7 @@ func BenchmarkParallelSymexecJ4(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverCacheHit: the cost of a Check answered by the sharded
+// BenchmarkSolverCacheHit: the cost of a Check answered by the
 // verdict cache (compare against BenchmarkSolverTrojanQuery, which pays for
 // a real solve on its first iteration only).
 func BenchmarkSolverCacheHit(b *testing.B) {

@@ -12,7 +12,7 @@
 //   - jobs run on a bounded cross-target worker pool, so a cheap KV audit
 //     proceeds on its own worker instead of queueing behind the Raft
 //     exploration;
-//   - all jobs share one concurrency-safe solver, so the sharded
+//   - all jobs share one concurrency-safe solver, so the
 //     formula→verdict cache is warm across targets that emit structurally
 //     identical queries;
 //   - the result is a Bundle: a manifest (tool version, jobs, wall time,
@@ -80,7 +80,7 @@ type Options struct {
 	// between concurrently running jobs. Values <= 0 mean 1.
 	Jobs int
 	// Solver is the shared solver; nil creates one solver.Default() whose
-	// sharded verdict cache is shared by every job of the campaign.
+	// verdict cache is shared by every job of the campaign.
 	Solver *solver.Solver
 	// Baseline is a previous bundle (typically Read from disk). A job whose
 	// input fingerprint matches a clean baseline entry — same fingerprint,
@@ -452,11 +452,12 @@ func runJob(ctx context.Context, j Job, d registry.Descriptor, ok bool, parallel
 func reportsFromRun(fields []string, trojans []core.TrojanReport) []Report {
 	reports := make([]Report, 0, len(trojans))
 	for _, tr := range trojans {
+		id := tr.Identity()
 		rep := Report{
-			Fingerprint: tr.Fingerprint(),
-			ClassID:     tr.ClassID(),
-			Class:       tr.ClassLine(),
-			Witness:     tr.Witness.String(),
+			Fingerprint: id.Fingerprint,
+			ClassID:     id.ClassID,
+			Class:       id.ClassLine,
+			Witness:     id.Witness,
 			Concrete:    tr.Concrete,
 			Fields:      fields,
 			Verified:    tr.VerifiedAccept && tr.VerifiedNotClient,

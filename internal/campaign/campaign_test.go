@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"context"
+	"maps"
 	"strings"
 	"testing"
 
@@ -241,6 +243,34 @@ func TestExtraDescriptors(t *testing.T) {
 	for _, rm := range b.Manifest.Runs {
 		if rm.InputFingerprint == "" {
 			t.Errorf("job %s has no input fingerprint", rm.Key())
+		}
+	}
+}
+
+// TestParallelSolverMapMatchesSequential runs the kv pair five times at -j 2,
+// each on a fresh solver: every manifest's solver map must equal the -j 1
+// map. kv and kv-fixed share the campaign's one Unknown query, and the two
+// jobs run side by side at -j 2; the goroutine that asks it second waits
+// for the first one's verdict instead of solving it again.
+func TestParallelSolverMapMatchesSequential(t *testing.T) {
+	solverMap := func(jobs int) Counters {
+		t.Helper()
+		b, err := RunCtx(context.Background(), Options{Targets: []string{"kv", "kv-fixed"}, Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.Manifest.Solver
+	}
+	want := solverMap(1)
+	pinned := Counters{"queries": 84, "cache_hits": 40, "cache_misses": 44, "unknowns": 1}
+	for k, v := range pinned {
+		if want[k] != v {
+			t.Fatalf("-j 1 solver map %v, want %s %d", want, k, v)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if got := solverMap(2); !maps.Equal(got, want) {
+			t.Fatalf("-j 2 run %d: solver map %v, want the -j 1 map %v", i, got, want)
 		}
 	}
 }

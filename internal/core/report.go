@@ -31,32 +31,53 @@ func (r TrojanReport) stateSuffix() string {
 	return " state{" + strings.Join(parts, " ") + "}"
 }
 
-// ClassID is the symbolic identity of a Trojan class: the witness formula
-// plus the state world it lives in. Two reports with the same ClassID
-// describe the same vulnerability class even if the solver picked a
-// different concrete example or a verification verdict flipped.
-func (r TrojanReport) ClassID() string {
-	return r.Witness.String() + r.stateSuffix()
+// Identity is a report's class identity. Every string derives from one
+// rendering of the witness formula.
+type Identity struct {
+	// Witness is the rendering of the symbolic witness formula.
+	Witness string
+	// ClassID is the symbolic identity of the Trojan class: the witness
+	// plus the state world it lives in. Two reports with the same ClassID
+	// describe the same vulnerability class even if the solver picked a
+	// different concrete example or a verification verdict flipped.
+	ClassID string
+	// ClassLine is the canonical one-line rendering of the class: the
+	// witness, the concrete example, the state world and the combined
+	// verification verdict. Elapsed times, state IDs and report indices
+	// are deliberately excluded — they are timing- or scheduling-derived.
+	// This is the exact format of the golden corpus files and of the class
+	// lines stored in audit bundles, so the two can be compared byte for
+	// byte.
+	ClassLine string
+	// Fingerprint is a stable content hash of ClassLine, suitable as a
+	// compact key for bundle diffing: it changes exactly when the class
+	// line changes (witness, example, state world or verification verdict).
+	Fingerprint string
 }
 
-// ClassLine is the canonical one-line rendering of a Trojan class: the
-// symbolic witness, the concrete example, the state world and the combined
-// verification verdict. Elapsed times, state IDs and report indices are
-// deliberately excluded — they are timing- or scheduling-derived. This is
-// the exact format of the golden corpus files and of the class lines stored
-// in audit bundles, so the two can be compared byte for byte.
-func (r TrojanReport) ClassLine() string {
-	return fmt.Sprintf("%s @ %v%s verified=%v",
-		r.Witness, r.Concrete, r.stateSuffix(), r.VerifiedAccept && r.VerifiedNotClient)
+// Identity renders the witness once and derives the report's ClassID,
+// ClassLine and Fingerprint from it.
+func (r TrojanReport) Identity() Identity {
+	witness, state := r.Witness.String(), r.stateSuffix()
+	line := fmt.Sprintf("%s @ %v%s verified=%v",
+		witness, r.Concrete, state, r.VerifiedAccept && r.VerifiedNotClient)
+	sum := sha256.Sum256([]byte(line))
+	return Identity{
+		Witness:     witness,
+		ClassID:     witness + state,
+		ClassLine:   line,
+		Fingerprint: hex.EncodeToString(sum[:8]),
+	}
 }
 
-// Fingerprint is a stable content hash of the class line, suitable as a
-// compact key for bundle diffing: it changes exactly when the class line
-// changes (witness, example, state world or verification verdict).
-func (r TrojanReport) Fingerprint() string {
-	sum := sha256.Sum256([]byte(r.ClassLine()))
-	return hex.EncodeToString(sum[:8])
-}
+// ClassID is Identity().ClassID.
+func (r TrojanReport) ClassID() string { return r.Identity().ClassID }
+
+// ClassLine is Identity().ClassLine.
+func (r TrojanReport) ClassLine() string { return r.Identity().ClassLine }
+
+// Fingerprint is Identity().Fingerprint.
+func (r TrojanReport) Fingerprint() string { return r.Identity().Fingerprint }
 
 // ClassLines renders the run's full Trojan class set as sorted canonical
 // lines — the golden-corpus representation of a run.

@@ -1,5 +1,7 @@
 package lang
 
+import "sync"
+
 // This file lowers checked NL programs into a flat, jump-based IR. The
 // symbolic execution engine interprets one IR instruction per step; all
 // control flow is explicit, so forking a state is just copying a program
@@ -118,13 +120,24 @@ func Compile(src string) (*Unit, error) {
 	return Lower(prog)
 }
 
+// compiled memoizes MustCompile: source text → *Unit.
+var compiled sync.Map
+
 // MustCompile is Compile for known-good embedded sources; it panics on error.
+// Results are memoized by source, so each source compiles once per process
+// and every call with it returns the same *Unit. The unit is shared: callers
+// must treat it as read-only. Sources a program generates without bound
+// belong in Compile, which the memo never holds on to.
 func MustCompile(src string) *Unit {
+	if u, ok := compiled.Load(src); ok {
+		return u.(*Unit)
+	}
 	u, err := Compile(src)
 	if err != nil {
 		panic("lang: MustCompile: " + err.Error())
 	}
-	return u
+	shared, _ := compiled.LoadOrStore(src, u)
+	return shared.(*Unit)
 }
 
 // Lower converts a checked program to IR.

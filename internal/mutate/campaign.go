@@ -119,8 +119,12 @@ func RunCtx(ctx context.Context, opts CampaignOptions) (*Result, error) {
 		plans = append(plans, targetPlan{desc: d, mutants: muts})
 		names = append(names, d.Name)
 		for _, m := range muts {
-			extra = append(extra, mutantDescriptor(d, m, maxStates, maxSteps))
-			names = append(names, mutantName(d.Name, m))
+			md, err := mutantDescriptor(d, m, maxStates, maxSteps)
+			if err != nil {
+				return nil, fmt.Errorf("mutate: %s: %w", mutantName(d.Name, m), err)
+			}
+			extra = append(extra, md)
+			names = append(names, md.Name)
 		}
 	}
 
@@ -177,14 +181,18 @@ func mutantName(base string, m Mutant) string { return base + "+" + m.ID }
 // mutantDescriptor derives the campaign-local descriptor analysing the
 // mutated server in place of the original, with the exploration budget
 // clamped (a mutation can unbound a loop the original model kept finite).
-func mutantDescriptor(d registry.Descriptor, m Mutant, maxStates, maxSteps int) registry.Descriptor {
+// The mutant compiles once, here, with lang.Compile: MustCompile's memo
+// would keep every generated mutant for the life of the process. Every
+// Target() call shares the unit, which analyses only read.
+func mutantDescriptor(d registry.Descriptor, m Mutant, maxStates, maxSteps int) (registry.Descriptor, error) {
 	name := mutantName(d.Name, m)
 	summary := fmt.Sprintf("mutant of %s: %s at %s (%s)", d.Name, m.Site, m.Pos, m.Operator)
-	src := m.Source
+	server, err := lang.Compile(m.Source)
+	if err != nil {
+		return registry.Descriptor{}, err
+	}
 	return d.Derive(name, summary, func(t core.Target) core.Target {
-		// Compile per call: Target() promises a fresh unit so concurrent
-		// fingerprinting and analysis never share mutable state.
-		t.Server = lang.MustCompile(src)
+		t.Server = server
 		if t.ServerExec.MaxStates == 0 || t.ServerExec.MaxStates > maxStates {
 			t.ServerExec.MaxStates = maxStates
 		}
@@ -192,7 +200,7 @@ func mutantDescriptor(d registry.Descriptor, m Mutant, maxStates, maxSteps int) 
 			t.ServerExec.MaxSteps = maxSteps
 		}
 		return t
-	})
+	}), nil
 }
 
 // classify turns one mutant's campaign job into its triage record.

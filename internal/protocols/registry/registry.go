@@ -54,8 +54,9 @@ type Descriptor struct {
 	Aliases []string
 	// Summary is a one-line description shown by listing commands.
 	Summary string
-	// Target builds a fresh core.Target (models are recompiled per call, so
-	// concurrent analyses never share mutable state).
+	// Target builds a new core.Target value on every call. Its compiled
+	// units come from lang.MustCompile's memo: every analysis of the target
+	// shares them and only reads them.
 	Target func() core.Target
 	// Analysis carries the target's default analysis options (budgets,
 	// verification toggles). Callers overlay Mode/Parallelism on top.

@@ -148,12 +148,13 @@ func unitObserver(j *job, unitKey string) core.Observer {
 			j.bcast.publish(jsonEvent(eventPhase, phaseEventPayload{Unit: unitKey, Phase: phase}), true)
 		},
 		OnTrojan: func(tr core.TrojanReport) {
+			id := tr.Identity()
 			j.bcast.publish(jsonEvent(eventTrojan, trojanEventPayload{
 				Unit:        unitKey,
-				Class:       tr.ClassLine(),
-				ClassID:     tr.ClassID(),
-				Fingerprint: tr.Fingerprint(),
-				Witness:     tr.Witness.String(),
+				Class:       id.ClassLine,
+				ClassID:     id.ClassID,
+				Fingerprint: id.Fingerprint,
+				Witness:     id.Witness,
 				Concrete:    tr.Concrete,
 				Verified:    tr.VerifiedAccept && tr.VerifiedNotClient,
 			}), true)

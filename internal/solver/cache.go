@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -8,39 +10,39 @@ import (
 	"achilles/internal/expr"
 )
 
-// verdict is one cached Check outcome. The model is stored as a private copy
-// and cloned again on every hit, so callers may freely mutate what they get.
-// loaded marks entries restored from a persisted cache file: they are
-// re-verified against the live query on first hit (see Solver.Check) before
-// being trusted, because the file contents are outside the process's control.
+// verdict is one cached Check outcome. The model is shared: the entry and
+// every hit return the same map, so callers must treat a returned model as
+// read-only. loaded marks entries restored from a persisted cache file: they
+// are re-verified against the live query on first hit (see Solver.Check)
+// before being trusted, because the file contents are outside the process's
+// control.
 type verdict struct {
 	res    Result
 	model  expr.Env
 	loaded bool
 }
 
-// verdictCache is the sharded formula→verdict memo. Striping the mutexes
-// keeps concurrent analysis workers from serialising on a single lock; the
-// per-shard entry cap bounds memory on long runs.
+// flight is one solve of a key in progress. Queries that miss the key while
+// it is in flight wait on done instead of solving it again; the leader
+// closes done once it has stored the verdict (settled) or given the key up
+// because its context fired (withdrawn, settled false).
+type flight struct {
+	done    chan struct{}
+	v       verdict
+	settled bool
+}
+
+// verdictCache is the formula→verdict memo and its in-flight table, both
+// under one mutex. The entry cap bounds memory on long runs.
 type verdictCache struct {
-	shards  []verdictShard
-	maxPerS int
+	mu      sync.Mutex
+	m       map[string]verdict
+	flights map[string]*flight
+	limit   int
 }
 
-type verdictShard struct {
-	mu sync.Mutex
-	m  map[string]verdict
-}
-
-func newVerdictCache(shards, maxPerShard int) *verdictCache {
-	c := &verdictCache{
-		shards:  make([]verdictShard, shards),
-		maxPerS: maxPerShard,
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]verdict)
-	}
-	return c
+func newVerdictCache(limit int) *verdictCache {
+	return &verdictCache{m: map[string]verdict{}, flights: map[string]*flight{}, limit: limit}
 }
 
 // queryKey canonicalises a conjunction: per-constraint renderings are sorted
@@ -100,79 +102,76 @@ func queryKeySortedMerge(a, b []string) string {
 	return sb.String()
 }
 
-// fnv1a hashes a key onto a shard index.
-func fnv1a(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
+// claim looks key up. A cached verdict is returned with ok set. Otherwise
+// the flight solving key is returned, with lead set when this call opened
+// it: the leader must end its flight with put or withdraw, every other
+// caller waits on its done channel.
+func (c *verdictCache) claim(key string) (v verdict, ok bool, f *flight, lead bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok = c.m[key]; ok {
+		return v, true, nil, false
 	}
-	return h
+	if f = c.flights[key]; f != nil {
+		return v, false, f, false
+	}
+	f = &flight{done: make(chan struct{})}
+	c.flights[key] = f
+	return v, false, f, true
 }
 
-func (c *verdictCache) shard(key string) *verdictShard {
-	return &c.shards[fnv1a(key)%uint64(len(c.shards))]
-}
-
-func (c *verdictCache) get(key string) (verdict, bool) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	v, ok := sh.m[key]
-	sh.mu.Unlock()
-	return v, ok
-}
-
-func (c *verdictCache) put(key string, v verdict) {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if _, exists := sh.m[key]; !exists && len(sh.m) >= c.maxPerS {
-		for k := range sh.m { // evict one arbitrary entry
-			delete(sh.m, k)
+// put stores v under key. f is the caller's flight for key, or nil when it
+// leads none; put ends it and hands v to its waiters.
+func (c *verdictCache) put(key string, v verdict, f *flight) {
+	c.mu.Lock()
+	if _, exists := c.m[key]; !exists && len(c.m) >= c.limit {
+		for k := range c.m { // evict one arbitrary entry
+			delete(c.m, k)
 			break
 		}
 	}
-	sh.m[key] = v
-	sh.mu.Unlock()
+	c.m[key] = v
+	if f != nil {
+		delete(c.flights, key)
+		f.v, f.settled = v, true
+	}
+	c.mu.Unlock()
+	if f != nil {
+		close(f.done)
+	}
+}
+
+// withdraw ends a flight without a verdict; its waiters claim the key again
+// and one of them solves it.
+func (c *verdictCache) withdraw(key string, f *flight) {
+	c.mu.Lock()
+	delete(c.flights, key)
+	c.mu.Unlock()
+	close(f.done)
 }
 
 // putIfAbsent inserts a loaded entry without evicting solved ones: persisted
 // verdicts must never displace entries the live process has already proven.
 // It reports whether the entry was stored.
 func (c *verdictCache) putIfAbsent(key string, v verdict) bool {
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.m[key]; exists || len(sh.m) >= c.maxPerS {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, exists := c.m[key]; exists || len(c.m) >= c.limit {
 		return false
 	}
-	sh.m[key] = v
+	c.m[key] = v
 	return true
 }
 
 // snapshot copies every cached entry, sorted by key, for persistence.
 func (c *verdictCache) snapshot() (keys []string, verdicts []verdict) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, v := range sh.m {
-			keys = append(keys, k)
-			verdicts = append(verdicts, v)
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	m := maps.Clone(c.m)
+	c.mu.Unlock()
+	keys = slices.Sorted(maps.Keys(m))
+	verdicts = make([]verdict, len(keys))
+	for i, k := range keys {
+		verdicts[i] = m[k]
 	}
-	order := make([]int, len(keys))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	sk := make([]string, len(keys))
-	sv := make([]verdict, len(keys))
-	for i, j := range order {
-		sk[i], sv[i] = keys[j], verdicts[j]
-	}
-	return sk, sv
+	return keys, verdicts
 }

@@ -1,9 +1,11 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"achilles/internal/expr"
 )
@@ -29,7 +31,7 @@ func trojanShapedQueries() [][]*expr.Expr {
 // goroutines and asserts every answer (and every Sat model, which Check
 // verifies by evaluation before returning) matches the sequential baseline.
 // Under -race this doubles as the data-race check for the stats counters and
-// the sharded verdict cache.
+// the verdict cache.
 func TestConcurrentCheckMatchesSequential(t *testing.T) {
 	qs := trojanShapedQueries()
 	baseline := New(Options{DisableCache: true})
@@ -102,24 +104,158 @@ func TestCacheKeyCanonicalisesOrder(t *testing.T) {
 	}
 }
 
-// TestCachedModelIsIsolated asserts a caller mutating a returned model does
-// not corrupt the cached copy handed to later callers.
-func TestCachedModelIsIsolated(t *testing.T) {
-	s := Default()
-	q := []*expr.Expr{expr.Eq(expr.Var("y"), expr.Const(5))}
-	_, m1 := s.Check(q)
-	m1["y"] = 999
-	_, m2 := s.Check(q)
-	if m2["y"] != 5 {
-		t.Fatalf("cached model was corrupted: y=%d", m2["y"])
+// slowQuery is a query whose solve enumerates an (n+1)² grid: x·y equals a
+// product of two primes above n, so no point of the grid satisfies it and
+// the solver answers Unsat after (n+1)² + (n+1) decisions, or Unknown when
+// MaxDecisions runs out first.
+func slowQuery(n int64) []*expr.Expr {
+	x, y := expr.Var("x"), expr.Var("y")
+	return []*expr.Expr{
+		expr.Ge(x, expr.Const(0)), expr.Le(x, expr.Const(n)),
+		expr.Ge(y, expr.Const(0)), expr.Le(y, expr.Const(n)),
+		expr.Eq(expr.Mul(x, y), expr.Const(1000003*1000003)),
 	}
 }
 
-// TestCacheEviction fills one tiny shard far past its cap and checks the
+// waitFor polls cond until it holds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSingleFlightSolvesOnce asks one slow query from many goroutines at
+// once: one of them solves it, the others wait for its verdict and count as
+// cache hits, and the decisions are those of one solve.
+func TestSingleFlightSolvesOnce(t *testing.T) {
+	const goroutines = 8
+	q := slowQuery(1000)
+	opts := Options{MaxDecisions: 300000}
+	want, _ := New(opts).Check(q)
+	if want != Unknown {
+		t.Fatalf("reference solve: %v, want unknown under MaxDecisions", want)
+	}
+	s := New(opts)
+	start := make(chan struct{})
+	results := make(chan Result, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, _ := s.Check(q)
+			results <- res
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(results)
+	for res := range results {
+		if res != want {
+			t.Fatalf("a goroutine got %v, want %v", res, want)
+		}
+	}
+	st := s.Stats()
+	if st.CacheMisses != 1 || st.CacheHits != goroutines-1 || st.Decisions != opts.MaxDecisions || st.Unknowns != 1 {
+		t.Fatalf("misses=%d hits=%d decisions=%d unknowns=%d, want 1/%d/%d/1",
+			st.CacheMisses, st.CacheHits, st.Decisions, st.Unknowns, goroutines-1, opts.MaxDecisions)
+	}
+}
+
+// TestSingleFlightLeaderCancelled cancels the goroutine solving a query
+// while others wait for it: the cancelled leader answers Unknown and caches
+// nothing, one waiter solves the query itself, and every waiter gets the
+// real verdict.
+func TestSingleFlightLeaderCancelled(t *testing.T) {
+	const waiters = 3
+	q := slowQuery(700)
+	s := New(Options{MaxDecisions: 1 << 22})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := make(chan Result, 1)
+	go func() {
+		res, _ := s.CheckCtx(ctx, q)
+		leader <- res
+	}()
+	waitFor(t, "the leader to search", func() bool { return s.Stats().Decisions > 0 })
+	results := make(chan Result, waiters)
+	for w := 0; w < waiters; w++ {
+		go func() {
+			res, _ := s.Check(q)
+			results <- res
+		}()
+	}
+	waitFor(t, "the waiters to ask", func() bool { return s.Stats().Queries == 1+waiters })
+	cancel()
+	if res := <-leader; res != Unknown {
+		t.Fatalf("cancelled leader answered %v, want unknown", res)
+	}
+	for w := 0; w < waiters; w++ {
+		if res := <-results; res != Unsat {
+			t.Fatalf("waiter answered %v, want unsat", res)
+		}
+	}
+	if st := s.Stats(); st.CacheMisses != 2 || st.CacheHits != waiters-1 {
+		t.Fatalf("misses=%d hits=%d, want 2/%d: one waiter solves after the leader withdraws",
+			st.CacheMisses, st.CacheHits, waiters-1)
+	}
+	if res, _ := s.Check(q); res != Unsat || s.Stats().CacheHits != waiters {
+		t.Fatalf("re-ask: %v with %d hits, want the cached unsat", res, s.Stats().CacheHits)
+	}
+}
+
+// TestSingleFlightWaiterCancelled cancels a goroutine waiting for another's
+// solve: it answers Unknown at once, without searching, and the leader's
+// verdict is cached as usual.
+func TestSingleFlightWaiterCancelled(t *testing.T) {
+	q := slowQuery(700)
+	opts := Options{MaxDecisions: 1 << 22}
+	ref := New(opts)
+	if res, _ := ref.Check(q); res != Unsat {
+		t.Fatalf("reference solve: %v, want unsat", res)
+	}
+	s := New(opts)
+	leader := make(chan Result, 1)
+	go func() {
+		res, _ := s.Check(q)
+		leader <- res
+	}()
+	waitFor(t, "the leader to search", func() bool { return s.Stats().Decisions > 0 })
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if res, _ := s.CheckCtx(ctx, q); res != Unknown {
+		t.Fatalf("cancelled waiter answered %v, want unknown", res)
+	}
+	select {
+	case res := <-leader:
+		t.Fatalf("the leader finished (%v) before the cancelled waiter returned", res)
+	default:
+	}
+	if res := <-leader; res != Unsat {
+		t.Fatalf("leader answered %v, want unsat", res)
+	}
+	if got, want := s.Stats().Decisions, ref.Stats().Decisions; got != want {
+		t.Fatalf("decisions=%d, want %d: the cancelled waiter must not search", got, want)
+	}
+	if res, _ := s.Check(q); res != Unsat {
+		t.Fatalf("re-ask answered %v, want the cached unsat", res)
+	}
+	if st := s.Stats(); st.CacheHits != 1 || st.CacheMisses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 1/2", st.CacheHits, st.CacheMisses)
+	}
+}
+
+// TestCacheEviction fills a tiny cache far past its cap and checks the
 // solver still answers correctly (eviction must never change verdicts).
 func TestCacheEviction(t *testing.T) {
 	s := New(Options{})
-	s.cache = newVerdictCache(1, 8)
+	s.cache = newVerdictCache(8)
 	x := expr.Var("x")
 	for i := int64(0); i < 100; i++ {
 		if res, _ := s.Check([]*expr.Expr{expr.Eq(x, expr.Const(i))}); res != Sat {

@@ -97,7 +97,7 @@ func (s *Solver) ExportCache() ([]CacheEntry, error) {
 // from a cache file, because an entry that crossed a process boundary is no
 // more trustworthy than one that crossed a filesystem. Imported entries
 // never displace verdicts the live process has already computed, and
-// entries beyond a shard's capacity are dropped rather than evicting
+// entries beyond the cache's capacity are dropped rather than evicting
 // anything.
 func (s *Solver) ImportCache(entries []CacheEntry) (int, error) {
 	if s.cache == nil {
@@ -180,7 +180,7 @@ func (s *Solver) SaveCache(path string) error {
 // validated before anything is merged, so an error means zero entries were
 // loaded and "treat it as a cold cache" is literally true. Loaded entries
 // never displace verdicts the live process has already computed, and
-// entries beyond a shard's capacity are dropped rather than evicting
+// entries beyond the cache's capacity are dropped rather than evicting
 // anything.
 func (s *Solver) LoadCache(path string) (int, error) {
 	if s.cache == nil {

@@ -28,9 +28,10 @@
 //
 // A Solver is safe for concurrent use: the search state is allocated per
 // query, statistics are atomic counters, and verdicts are memoised in a
-// sharded (mutex-striped) formula→verdict cache so that repeated queries —
-// in particular the differentFrom and Trojan checks issued by concurrent
-// analysis workers — hit memory instead of re-solving.
+// formula→verdict cache so that repeated queries — in particular the
+// differentFrom and Trojan checks issued by concurrent analysis workers —
+// hit memory instead of re-solving. The cache solves each key once: a
+// worker that asks a key another worker is solving waits for its verdict.
 package solver
 
 import (
@@ -154,17 +155,14 @@ type Options struct {
 	DisableCache bool
 }
 
-// The verdict cache has cacheShards mutex stripes of at most
-// cacheShardEntries entries each; one arbitrary entry is evicted on
+// cacheEntries caps the verdict cache; one arbitrary entry is evicted on
 // overflow.
-const (
-	cacheShards       = 64
-	cacheShardEntries = 4096
-)
+const cacheEntries = 1 << 18
 
 // Solver decides satisfiability of constraint conjunctions. A Solver may be
 // reused across queries and shared between goroutines: the search state is
-// per-query, statistics are atomic, and the verdict cache is mutex-striped.
+// per-query, statistics are atomic, and the verdict cache and its in-flight
+// table sit under one mutex, held only for map lookups and stores.
 type Solver struct {
 	opts        Options
 	stats       counters
@@ -184,7 +182,7 @@ func New(opts Options) *Solver {
 	}
 	s := &Solver{opts: opts, arena: newInternArena(), propOK: newFeasibleMemo()}
 	if !opts.DisableCache {
-		s.cache = newVerdictCache(cacheShards, cacheShardEntries)
+		s.cache = newVerdictCache(cacheEntries)
 	}
 	return s
 }
@@ -238,7 +236,8 @@ const satLimit = int64(1) << 62
 
 // Check decides the conjunction of the given constraints. On Sat, the
 // returned model assigns every variable occurring in the constraints and has
-// been verified by evaluation.
+// been verified by evaluation. The model is the verdict cache's own copy,
+// shared with every later query of the same key: treat it as read-only.
 //
 // Entries restored by LoadCache are not served blindly: a loaded Sat verdict
 // is re-verified by evaluating the live query under its stored model, and a
@@ -254,18 +253,26 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, expr.Env) {
 // callers already treat Unknown conservatively, so an aborted query can
 // never flip a verdict, only withhold one. A verdict produced under a
 // cancelled context is NOT memoised: caching it would poison the verdict
-// cache with budget-dependent Unknowns that outlive the cancellation.
+// cache with budget-dependent Unknowns that outlive the cancellation. A
+// query waiting for another goroutine's solve of the same key answers the
+// same uncached Unknown when its own ctx fires.
 func (s *Solver) CheckCtx(ctx context.Context, constraints []*expr.Expr) (Result, expr.Env) {
 	return s.CheckPrefixCtx(ctx, nil, constraints...)
 }
 
 // CheckPrefixCtx decides the conjunction of the prefix's constraints and
 // conds; a nil p is the empty path. Every query runs through it: the cache
-// protocol (stats, key lookup, loaded-entry re-verification, the
-// cancellation guard, memoisation) wraps one solve of the prefix's
-// flattened form extended by conds. The answer, the cache key and the
-// cached entry are those of CheckCtx over the materialised constraint
-// slice.
+// protocol (stats, key lookup, single flight, loaded-entry
+// re-verification, the cancellation guard, memoisation) wraps one solve of
+// the prefix's flattened form extended by conds. The answer, the cache key
+// and the cached entry are those of CheckCtx over the materialised
+// constraint slice.
+//
+// Each key is solved once per process. A query that misses a key another
+// goroutine is solving waits for that verdict and counts as a cache hit;
+// if the solving goroutine is cancelled, it caches nothing and one waiter
+// solves the key instead. Returned models are shared with the cache and
+// with every other query of the key: callers must not write them.
 func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.Expr) (Result, expr.Env) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -277,14 +284,38 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 	ens := s.internAll(conds)
 	var key string
 	var loaded *verdict
+	var lead *flight
 	if s.cache != nil {
 		key = p.key(ens)
-		if ent, ok := s.cache.get(key); ok {
-			if !ent.loaded || s.trustLoaded(key, ent, p.constraints(ens)) {
-				s.stats.cacheHits.Add(1)
-				return ent.res, ent.model.Clone()
+	claim:
+		for {
+			ent, ok, f, leader := s.cache.claim(key)
+			switch {
+			case ok:
+				if !ent.loaded || s.trustLoaded(key, ent, p.constraints(ens)) {
+					s.stats.cacheHits.Add(1)
+					return ent.res, ent.model
+				}
+				loaded = &ent // distrusted: re-solve and compare below
+				break claim
+			case leader:
+				lead = f
+				break claim
 			}
-			loaded = &ent // distrusted: re-solve and compare below
+			// Another query is solving the key: its verdict answers this
+			// one as a hit. A flight withdrawn by a cancelled leader sends
+			// the waiters back to claim, and one of them solves the key.
+			select {
+			case <-f.done:
+				if f.settled {
+					s.stats.cacheHits.Add(1)
+					return f.v.res, f.v.model
+				}
+			case <-ctx.Done():
+				s.stats.cacheMisses.Add(1)
+				s.stats.unknowns.Add(1)
+				return Unknown, nil
+			}
 		}
 		s.stats.cacheMisses.Add(1)
 	}
@@ -293,6 +324,9 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 		// Aborted mid-search: the Unknown reflects the cancellation, not the
 		// query. Report it, but neither cache it nor let it indict a loaded
 		// verdict under re-verification.
+		if lead != nil {
+			s.cache.withdraw(key, lead)
+		}
 		return res, model
 	}
 	if loaded != nil {
@@ -307,7 +341,7 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 		}
 	}
 	if s.cache != nil {
-		s.cache.put(key, verdict{res: res, model: model.Clone()})
+		s.cache.put(key, verdict{res: res, model: model}, lead)
 	}
 	return res, model
 }
@@ -355,7 +389,7 @@ func (s *Solver) trustLoaded(key string, ent verdict, constraints []*expr.Expr) 
 			return false
 		}
 	}
-	s.cache.put(key, verdict{res: ent.res, model: ent.model})
+	s.cache.put(key, verdict{res: ent.res, model: ent.model}, nil)
 	return true
 }
 

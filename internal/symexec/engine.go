@@ -191,7 +191,8 @@ type Options struct {
 	MaxStates int
 	// MaxSteps bounds instructions per state (default 1 << 20).
 	MaxSteps int
-	// Solver decides branch feasibility; defaults to solver.Default().
+	// Solver decides branch feasibility; a symbolic run defaults to
+	// solver.Default(). A concrete run never asks one and builds none.
 	Solver *solver.Solver
 	// Hooks intercept events.
 	Hooks Hooks
@@ -241,7 +242,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 1 << 20
 	}
-	if o.Solver == nil {
+	if o.Solver == nil && !o.Concrete {
 		o.Solver = solver.Default()
 	}
 	if o.MsgPrefix == "" {

@@ -9,6 +9,9 @@ import (
 	"achilles/internal/solver"
 )
 
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
 func compile(t *testing.T, src string) *lang.Unit {
 	t.Helper()
 	u, err := lang.Compile(src)
@@ -308,6 +311,35 @@ func main() {
 	}
 	if res.Stats.SolverCalls != 0 {
 		t.Fatalf("concrete mode must not call the solver")
+	}
+}
+
+// TestConcreteRunAllocs bounds the allocations of a concrete run of a small
+// accepted program with no solver passed. A concrete run never asks a
+// solver, so it must not build the default one (verdict cache, intern
+// arena, feasible memo), which took over 80 allocations per run.
+func TestConcreteRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	unit := compile(t, `
+var msg [2]int;
+func main() {
+	recv(msg);
+	if msg[0] == 1 && msg[1] > 10 {
+		accept();
+	}
+	reject();
+}`)
+	opts := Options{Concrete: true, Message: []int64{1, 11}}
+	allocs := testing.AllocsPerRun(100, func() {
+		res, err := Run(unit, opts)
+		if err != nil || res.States[0].Status != StatusAccepted {
+			t.Fatalf("concrete run: %v %v", res, err)
+		}
+	})
+	if allocs > 16 {
+		t.Fatalf("concrete run takes %.0f allocations, want at most 16", allocs)
 	}
 }
 
