@@ -50,8 +50,9 @@ type AnalysisOptions struct {
 	Mode Mode
 	// Exec configures the symbolic engine for the server run.
 	Exec symexec.Options
-	// Solver is shared by the engine and the Trojan checks; defaults to
-	// solver.Default().
+	// Solver is shared by the engine and the Trojan checks, and through Run
+	// also answers client extraction and preprocessing, so one verdict cache
+	// serves every phase of a run; defaults to solver.Default().
 	Solver *solver.Solver
 	// SkipConcreteVerification disables the concrete replay of each Trojan
 	// example against the server model. It is forced on when the server

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,6 +12,8 @@ import (
 	_ "achilles/internal/protocols"
 	"achilles/internal/protocols/fsp"
 	"achilles/internal/protocols/registry"
+	"achilles/internal/solver"
+	"achilles/internal/symexec"
 )
 
 // catalog returns every registry target. Protocol packages register
@@ -204,5 +207,90 @@ func TestParallelExtractionDeterministic(t *testing.T) {
 	if seq.PreprocessStats.Disjuncts != par.PreprocessStats.Disjuncts ||
 		seq.PreprocessStats.OverlapDropped != par.PreprocessStats.OverlapDropped {
 		t.Fatalf("preprocess stats differ: %+v vs %+v", seq.PreprocessStats, par.PreprocessStats)
+	}
+}
+
+// TestExtractionSharesRunSolver holds that client extraction runs on the
+// extraction's solver. With ExtractOptions.Solver = S and no Exec.Solver, S
+// answers every client branch query, and because the rich FSP utilities
+// differ only in a constant no branch reads, S solves one client's worth of
+// them and serves the rest from its cache, at any Parallelism. A solver the
+// caller sets in Exec.Solver takes every client query instead, and the
+// extracted predicate does not depend on which solver ran the clients.
+func TestExtractionSharesRunSolver(t *testing.T) {
+	tgt := fsp.NewRichTarget(false)
+	extract := func(exec symexec.Options, s *solver.Solver, j int) *core.ClientPredicate {
+		t.Helper()
+		pc, err := core.ExtractClientPredicate(tgt.Clients, core.ExtractOptions{
+			Exec:           exec,
+			FieldNames:     tgt.FieldNames,
+			Mask:           tgt.Mask,
+			SharedState:    tgt.SharedState,
+			Solver:         s,
+			SkipPreprocess: true,
+			Parallelism:    j,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pc
+	}
+	// The reference: every client alone on a fresh solver of its own.
+	queries, misses := 0, -1
+	for _, cl := range tgt.Clients {
+		r := solver.Default()
+		exec := tgt.ClientExec
+		exec.Solver = r
+		if _, err := core.ExtractClientPredicate([]core.ClientProgram{cl}, core.ExtractOptions{Exec: exec, SkipPreprocess: true}); err != nil {
+			t.Fatal(err)
+		}
+		st := r.Stats()
+		queries += st.Queries
+		if misses < 0 {
+			misses = st.CacheMisses
+		} else if st.CacheMisses != misses {
+			t.Fatalf("client %s alone: %d cache misses, the first client %d", cl.Name, st.CacheMisses, misses)
+		}
+	}
+	if misses <= 0 || queries <= misses {
+		t.Fatalf("reference extraction asked %d queries with %d misses per client", queries, misses)
+	}
+	for _, j := range []int{1, 2} {
+		shared := solver.Default()
+		want := extract(tgt.ClientExec, shared, j)
+		if st := shared.Stats(); st.Queries != queries || st.CacheMisses != misses {
+			t.Fatalf("-j %d: ExtractOptions.Solver saw %d queries / %d misses, want %d / %d",
+				j, st.Queries, st.CacheMisses, queries, misses)
+		}
+
+		s, own := solver.Default(), solver.Default()
+		exec := tgt.ClientExec
+		exec.Solver = own
+		got := extract(exec, s, j)
+		if st := s.Stats(); st.Queries != 0 {
+			t.Fatalf("-j %d: ExtractOptions.Solver saw %d client queries with Exec.Solver set", j, st.Queries)
+		}
+		if st := own.Stats(); st.Queries != queries || st.CacheMisses != misses {
+			t.Fatalf("-j %d: Exec.Solver saw %d queries / %d misses, want %d / %d",
+				j, st.Queries, st.CacheMisses, queries, misses)
+		}
+
+		want.PreprocessParallelCtx(context.Background(), shared, j)
+		got.PreprocessParallelCtx(context.Background(), s, j)
+		if len(got.Paths) != len(want.Paths) {
+			t.Fatalf("-j %d: %d paths on Exec.Solver, %d on the shared solver", j, len(got.Paths), len(want.Paths))
+		}
+		for i, w := range want.Paths {
+			g := got.Paths[i]
+			if g.Origin != w.Origin || fmt.Sprint(g.Fields) != fmt.Sprint(w.Fields) ||
+				fmt.Sprint(g.Constraints) != fmt.Sprint(w.Constraints) {
+				t.Fatalf("-j %d: path %d differs:\n  got  %s %v %v\n  want %s %v %v",
+					j, i, g.Origin, g.Fields, g.Constraints, w.Origin, w.Fields, w.Constraints)
+			}
+			if g.BindKey() != w.BindKey() || core.NegClass(got, i) != core.NegClass(want, i) {
+				t.Fatalf("-j %d: path %d bind key or negation class differs:\n  got  %s #%d\n  want %s #%d",
+					j, i, g.BindKey(), core.NegClass(got, i), w.BindKey(), core.NegClass(want, i))
+			}
+		}
 	}
 }

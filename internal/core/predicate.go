@@ -21,6 +21,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,6 +53,10 @@ type ClientPath struct {
 	Constraints []*expr.Expr // K(λ): path constraints
 
 	// Precomputed artifacts (built by the predicate preprocessor):
+	// kvars[k] is the sorted variable list of Constraints[k], built once
+	// and read by every preprocessing step that asks which constraints a
+	// variable set touches; preprocessing drops it when it returns.
+	kvars     [][]string
 	fieldKind []FieldKind
 	// bind: m_f == E'_f for every field plus K', with input vars renamed
 	// c{ID}_*; satisfiable together with a server path iff a message on that
@@ -112,6 +117,10 @@ type ClientPredicate struct {
 	// MsgPrefix is the server message variable prefix ("m": fields are
 	// m0, m1, ...).
 	MsgPrefix string
+	// msgVars holds one message variable node per field, built when
+	// preprocessing starts and shared by every bind, negation and
+	// verification query (see msgVar).
+	msgVars []*expr.Expr
 	// members[i][f] is path i's value-set predicate for field f over
 	// memberVar: true exactly at the values path i can place in field f.
 	// Nil when the field is masked or not simple. The §4 guard evaluates
@@ -185,7 +194,11 @@ func (pc *ClientPredicate) DifferentFrom(i, j, f int) Tri {
 
 // ExtractOptions configure client predicate extraction.
 type ExtractOptions struct {
-	// Exec is passed to the symbolic engine for each client run.
+	// Exec is passed to the symbolic engine for each client run. A nil
+	// Exec.Solver runs the clients on Solver.Scoped(), so extraction,
+	// preprocessing and (through RunCtx) the server phase share one verdict
+	// cache, while the client runs' trees stay out of Solver's pointer
+	// memo; a solver set here runs the clients on it instead.
 	Exec symexec.Options
 	// FieldNames names the message fields (optional, for reports).
 	FieldNames []string
@@ -197,7 +210,8 @@ type ExtractOptions struct {
 	// SharedState lists extra variable names shared between client and
 	// server runs (§3.4). Variables prefixed "state_" are always shared.
 	SharedState []string
-	// Solver used during preprocessing; defaults to solver.Default().
+	// Solver answers preprocessing's queries and, unless Exec.Solver is
+	// set, the client runs' branch queries; defaults to solver.Default().
 	Solver *solver.Solver
 	// Parallelism is the number of extraction workers: client programs run
 	// concurrently (one goroutine per client, results merged in client
@@ -240,6 +254,12 @@ func ExtractClientPredicateCtx(ctx context.Context, clients []ClientProgram, opt
 	}
 	if opts.Solver == nil {
 		opts.Solver = solver.Default()
+	}
+	if opts.Exec.Solver == nil {
+		// Scoped: the client runs share the solver's cache, entries and
+		// counters, but their trees leave with the scope's pointer memo
+		// instead of staying live in the run's until it ends.
+		opts.Exec.Solver = opts.Solver.Scoped()
 	}
 	// Run every client model symbolically — concurrently when Parallelism
 	// allows. Results land in a per-client slot and are merged below in
@@ -347,9 +367,16 @@ func sentKey(m symexec.SentMessage) string {
 	return b.String()
 }
 
-// msgVar returns the server-side message variable for field f.
+// msgVar returns the server-side message variable for field f. After
+// preprocessing has started, fields the clients send share one node each:
+// expressions are immutable, and a fresh node per bind and per negation
+// disjunct kept up to two copies per path and field live through the
+// server phase (0.36 MB at its start on the rich FSP corpus).
 func (pc *ClientPredicate) msgVar(f int) *expr.Expr {
-	return expr.Var(pc.MsgPrefix + strconv.Itoa(f))
+	if f < len(pc.msgVars) {
+		return pc.msgVars[f]
+	}
+	return expr.Var(pc.MsgVarName(f))
 }
 
 // MsgVarName returns the server-side message variable name for field f.
@@ -393,12 +420,27 @@ func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	pc.msgVars = make([]*expr.Expr, pc.NumFields)
+	for f := range pc.msgVars {
+		pc.msgVars[f] = expr.Var(pc.MsgVarName(f))
+	}
+	// The per-path variable lists serve preprocessing only; drop them on
+	// the way out so they do not stay live through the server phase.
+	defer func() {
+		for _, cp := range pc.Paths {
+			cp.kvars = nil
+		}
+	}()
 	stats := make([]PreprocessStats, len(pc.Paths))
 	parallelFor(workers, len(pc.Paths), func(i int) {
 		if ctx.Err() != nil {
 			return
 		}
 		cp := pc.Paths[i]
+		cp.kvars = make([][]string, len(cp.Constraints))
+		for k, c := range cp.Constraints {
+			cp.kvars[k] = expr.Vars(c)
+		}
 		pc.buildBind(cp)
 		pc.classifyFields(cp)
 		pc.buildNegation(ctx, cp, s, &stats[i])
@@ -451,23 +493,15 @@ func (pc *ClientPredicate) buildBindKey(cp *ClientPath) {
 	for _, e := range cp.Fields {
 		expr.CollectVars(e, relevant)
 	}
+	isRelevant := func(v string) bool { return relevant[v] }
 	// Transitive closure over constraints that share variables.
 	for changed := true; changed; {
 		changed = false
-		for _, k := range cp.Constraints {
-			vs := map[string]bool{}
-			expr.CollectVars(k, vs)
-			touches := false
-			for v := range vs {
-				if relevant[v] {
-					touches = true
-					break
-				}
-			}
-			if !touches {
+		for _, vs := range cp.kvars {
+			if !slices.ContainsFunc(vs, isRelevant) {
 				continue
 			}
-			for v := range vs {
+			for _, v := range vs {
 				if !relevant[v] {
 					relevant[v] = true
 					changed = true
@@ -496,17 +530,8 @@ func (pc *ClientPredicate) buildBindKey(cp *ClientPath) {
 		b.WriteByte('|')
 	}
 	var ks []string
-	for _, k := range cp.Constraints {
-		vs := map[string]bool{}
-		expr.CollectVars(k, vs)
-		keep := len(vs) == 0
-		for v := range vs {
-			if relevant[v] {
-				keep = true
-				break
-			}
-		}
-		if keep {
+	for i, k := range cp.Constraints {
+		if vs := cp.kvars[i]; len(vs) == 0 || slices.ContainsFunc(vs, isRelevant) {
 			ks = append(ks, expr.RenameVars(k, ren).String())
 		}
 	}
@@ -542,35 +567,45 @@ func (pc *ClientPredicate) buildBind(cp *ClientPath) {
 	}
 }
 
-// classifyFields fills fieldKind and simpleField.
-func (cp *ClientPath) constraintsMentioning(vars map[string]bool) []*expr.Expr {
+// constraintsMentioning returns, in path order, the constraints that
+// mention any of the sorted variable names vars.
+func (cp *ClientPath) constraintsMentioning(vars []string) []*expr.Expr {
 	var out []*expr.Expr
-	for _, k := range cp.Constraints {
-		ks := map[string]bool{}
-		expr.CollectVars(k, ks)
-		for v := range ks {
-			if vars[v] {
-				out = append(out, k)
-				break
-			}
+	for i, k := range cp.Constraints {
+		if sharesName(cp.kvars[i], vars) {
+			out = append(out, k)
 		}
 	}
 	return out
 }
 
+// sharesName reports whether the sorted name lists a and b have a name in
+// common.
+func sharesName(a, b []string) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] == b[j]:
+			return true
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
+}
+
+// classifyFields fills fieldKind and simpleField.
 func (pc *ClientPredicate) classifyFields(cp *ClientPath) {
 	cp.fieldKind = make([]FieldKind, len(cp.Fields))
 	cp.simpleField = make([]bool, len(cp.Fields))
-	// Map each input var to the set of fields using it.
-	varFields := map[string]map[int]bool{}
+	// Count the fields using each input var.
+	fvars := make([][]string, len(cp.Fields))
+	varFields := map[string]int{}
 	for f, e := range cp.Fields {
-		vs := map[string]bool{}
-		expr.CollectVars(e, vs)
-		for v := range vs {
-			if varFields[v] == nil {
-				varFields[v] = map[int]bool{}
-			}
-			varFields[v][f] = true
+		fvars[f] = expr.Vars(e)
+		for _, v := range fvars[f] {
+			varFields[v]++
 		}
 	}
 	for f, e := range cp.Fields {
@@ -587,25 +622,16 @@ func (pc *ClientPredicate) classifyFields(cp *ClientPath) {
 		default:
 			cp.fieldKind[f] = FieldExpr
 		}
-		vs := map[string]bool{}
-		expr.CollectVars(e, vs)
-		ks := cp.constraintsMentioning(vs)
-		if len(ks) == 0 {
+		if !slices.ContainsFunc(cp.kvars, func(vs []string) bool { return sharesName(vs, fvars[f]) }) {
 			cp.fieldKind[f] = FieldFree
 			continue
 		}
 		// simple: pure var, used only in this field, and all its constraints
 		// mention only this var.
-		if e.Kind == expr.KVar && len(varFields[e.Name]) == 1 {
-			simple := true
-			for _, k := range ks {
-				kvars := expr.Vars(k)
-				if len(kvars) != 1 || kvars[0] != e.Name {
-					simple = false
-					break
-				}
-			}
-			cp.simpleField[f] = simple
+		if e.Kind == expr.KVar && varFields[e.Name] == 1 {
+			cp.simpleField[f] = !slices.ContainsFunc(cp.kvars, func(vs []string) bool {
+				return len(vs) > 1 && slices.Contains(vs, e.Name)
+			})
 		}
 	}
 }
@@ -633,8 +659,7 @@ func (pc *ClientPredicate) buildNegation(ctx context.Context, cp *ClientPath, s 
 		case FieldFree:
 			continue // abandoned: unconstrained symbolic data
 		case FieldVar:
-			vs := map[string]bool{e.Name: true}
-			ks := cp.constraintsMentioning(vs)
+			ks := cp.constraintsMentioning([]string{e.Name})
 			if cp.simpleField[f] {
 				// Exact: substitute m_f for the var in ¬K.
 				neg := expr.Not(expr.AndAll(ks))
@@ -643,9 +668,7 @@ func (pc *ClientPredicate) buildNegation(ctx context.Context, cp *ClientPath, s 
 				d = pc.exprFieldNegation(cp, f, e, ks)
 			}
 		case FieldExpr:
-			vs := map[string]bool{}
-			expr.CollectVars(e, vs)
-			ks := cp.constraintsMentioning(vs)
+			ks := cp.constraintsMentioning(expr.Vars(e))
 			if len(ks) == 0 {
 				continue // abandoned
 			}
@@ -719,8 +742,7 @@ func (cp *ClientPath) fieldValueMember(f int, v *expr.Expr) *expr.Expr {
 		return expr.Eq(v, e)
 	}
 	// simple var: substitute v into its constraints.
-	vs := map[string]bool{e.Name: true}
-	ks := cp.constraintsMentioning(vs)
+	ks := cp.constraintsMentioning([]string{e.Name})
 	return expr.Substitute(expr.AndAll(ks), map[string]*expr.Expr{e.Name: v})
 }
 

@@ -96,9 +96,11 @@ func ClassLines(run *RunResult) []string {
 type Counters map[string]int64
 
 // Counters flattens the analysis result's counters, the engine statistics
-// and a snapshot of the solver statistics. Note that when a solver is shared
-// across runs (as in a campaign) the solver_* values are cumulative across
-// everything the solver has seen, not per-run.
+// and a snapshot of the solver statistics, taken when the server analysis
+// ends. The solver_* values count everything the solver has seen: through
+// Run that is the run's client extraction and preprocessing as well as its
+// server phase, and when a solver is shared across runs (as in a campaign)
+// the values are cumulative across them, not per-run.
 func (r *Result) Counters() Counters {
 	c := Counters{
 		"accepting_states":    int64(r.AcceptingStates),
@@ -131,7 +133,8 @@ func boolCounter(b bool) int64 {
 }
 
 // Counters flattens the counters of a full two-phase run: the analysis
-// counters plus the client-predicate shape and preprocessing work.
+// counters plus the client-predicate shape and preprocessing work. The
+// solver_* values span both phases (see Result.Counters).
 func (r *RunResult) Counters() Counters {
 	c := r.Analysis.Counters()
 	c["truncated"] = boolCounter(r.Truncated())

@@ -13,8 +13,8 @@ package solver
 // Entries also carry a stable per-solver ID. IDs order by first-intern time,
 // which is scheduling-dependent under concurrent analysis workers — they are
 // therefore never persisted and never compared across solvers; their only
-// uses are set-membership keys (the split-gate feasible memo, prefix
-// subsumption), which are order-insensitive.
+// use is as set-membership keys of the split-gate feasible memo, which are
+// order-insensitive. Prefix subsumption compares the entries themselves.
 //
 // Unification is structural: hash buckets resolved with expr.Equal are the
 // only source of truth, so two structurally equal trees always map to one
@@ -26,7 +26,8 @@ package solver
 // memoCap new entries. A reset costs time only: a cleared pointer re-resolves
 // through the hash buckets to the same entry — same ID, rendering,
 // linearisation and ckeyID — so no verdict, model, cache key or feasible-memo
-// key can change.
+// key can change. A scoped solver (Solver.Scoped) resolves through the same
+// buckets with a memo of its own, which goes when the scoped solver does.
 
 import (
 	"slices"
@@ -59,20 +60,33 @@ type internEntry struct {
 type internArena struct {
 	byPtr   sync.Map     // *expr.Expr -> *internEntry, bounded by memoCap
 	memoLen atomic.Int64 // entries stored in byPtr since its last reset
-	resets  atomic.Int64 // byPtr resets, reported as Stats.MemoResets
-	mu      sync.Mutex
-	byHash  map[uint64][]*internEntry
-	nextID  uint64
+	*internTable
+}
+
+// internTable is the structural side of an arena: hash buckets, entry IDs
+// and ckeyIDs. A scoped arena (Solver.Scoped) shares its parent's table and
+// keeps a pointer memo of its own, so both resolve every tree to the same
+// entries.
+type internTable struct {
+	resets atomic.Int64 // memo resets of every arena on the table, reported as Stats.MemoResets
+	mu     sync.Mutex
+	byHash map[uint64][]*internEntry
+	nextID uint64
 	// ckeyIDs numbers distinct linear-combination fingerprints from 1 so
 	// linearConflict can compare combinations by integer (see linAtom.ckeyID).
 	ckeyIDs map[string]uint32
 }
 
 func newInternArena() *internArena {
-	return &internArena{
+	return &internArena{internTable: &internTable{
 		byHash:  make(map[uint64][]*internEntry),
 		ckeyIDs: make(map[string]uint32),
-	}
+	}}
+}
+
+// scoped returns an arena on a's table with an empty pointer memo.
+func (a *internArena) scoped() *internArena {
+	return &internArena{internTable: a.internTable}
 }
 
 // intern resolves e to its canonical entry, creating it on first sight.

@@ -124,6 +124,39 @@ func TestInternMemoBound(t *testing.T) {
 	}
 }
 
+// TestScopedSolverSharesAllButMemo holds Solver.Scoped: a scoped solver
+// answers as its parent would, counts into the parent's statistics and
+// fills the parent's verdict cache and intern table, while the pointers it
+// interns stay out of the parent's memo.
+func TestScopedSolverSharesAllButMemo(t *testing.T) {
+	s, ref := Default(), Default()
+	want := askMemo(ref, trojanShapedQueries())
+	sc := s.Scoped()
+	qs := trojanShapedQueries()
+	if err := sameOutcomes(askMemo(sc, qs), want); err != nil {
+		t.Fatal(err)
+	}
+	if st, rst := s.Stats(), ref.Stats(); st != rst {
+		t.Fatalf("parent statistics after the scope's queries %+v, reference %+v", st, rst)
+	}
+	if n := s.arena.memoEntries(); n != 0 {
+		t.Fatalf("the parent's memo holds %d pointers the scope interned", n)
+	}
+	if sc.arena.memoEntries() == 0 {
+		t.Fatal("the scope's memo holds nothing")
+	}
+	if got, want := entryIDs(s, qs), entryIDs(sc, qs); !slices.Equal(got, want) {
+		t.Fatalf("parent and scope resolve the same trees to different entries:\n got %v\nwant %v", got, want)
+	}
+	misses := s.Stats().CacheMisses
+	if err := sameOutcomes(askMemo(s, trojanShapedQueries()), want); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().CacheMisses; got != misses {
+		t.Fatalf("the parent solved %d queries the scope had cached", got-misses)
+	}
+}
+
 // TestInternMemoBoundConcurrent interns fresh trees from 8 goroutines sharing
 // one solver, for enough rounds to reset the memo several times while other
 // goroutines are mid-lookup: every alias must keep resolving to its entry and

@@ -9,9 +9,10 @@ package solver
 //   - the interned top-level constraints and their renderings, kept sorted,
 //     so a query's cache key is one linear merge with its extra renderings;
 //   - the flattened form of the path (conjunctive atoms and disjunctions),
-//     extended incrementally, so a query only flattens its extra conditions;
-//   - the interned-ID set of the conjunctive atoms, which gives the engine
-//     an O(1) syntactic subsumption check (Implies) for frontier branching.
+//     extended incrementally, so a query only flattens its extra conditions.
+//     The conjunctive atoms also give the engine a syntactic subsumption
+//     check (Implies) for frontier branching: intern entries are canonical,
+//     so a condition already on the path is found by pointer in the atoms.
 //
 // Extend does no solving, and every query propagates from full domains
 // (Solver.CheckPrefixCtx): path models answer most branch queries without
@@ -54,11 +55,10 @@ import (
 // CheckPrefixCtx.
 type Prefix struct {
 	s       *Solver
-	raw     []*internEntry  // top-level constraints, in append order
-	renders []string        // raw entries' renderings, kept sorted for cache keys
-	conj    []*internEntry  // flattened conjunctive atoms
-	disj    []*internEntry  // flattened disjunctions
-	ids     map[uint64]bool // interned IDs of conj, for Implies
+	raw     []*internEntry // top-level constraints, in append order
+	renders []string       // raw entries' renderings, kept sorted for cache keys
+	conj    []*internEntry // flattened conjunctive atoms
+	disj    []*internEntry // flattened disjunctions
 	// refuted marks a prefix containing a literal false constraint: every
 	// check answers Unsat, exactly as flattening the full constraint slice
 	// would.
@@ -71,7 +71,7 @@ var emptyPrefix = &Prefix{}
 
 // NewPrefix returns the empty path prefix.
 func (s *Solver) NewPrefix() *Prefix {
-	return &Prefix{s: s, ids: map[uint64]bool{}}
+	return &Prefix{s: s}
 }
 
 // Extend returns the prefix with cond appended. The receiver is unchanged.
@@ -91,10 +91,6 @@ func (p *Prefix) Extend(cond *expr.Expr) *Prefix {
 	}
 	if !np.refuted && !s.flattenInto(cond, &np.conj, &np.disj) {
 		np.refuted = true
-	}
-	np.ids = make(map[uint64]bool, len(np.conj))
-	for _, en := range np.conj {
-		np.ids[en.id] = true
 	}
 	return np
 }
@@ -123,21 +119,21 @@ func (p *Prefix) Len() int {
 // must then ask the solver. See the package comment for why the two decided
 // answers coincide with the solver's.
 func (p *Prefix) Implies(cond *expr.Expr) (holds, ok bool) {
-	if p == nil || p.refuted || len(p.ids) == 0 {
+	if p == nil || p.refuted || len(p.conj) == 0 {
 		return false, false
 	}
 	en := p.s.arena.intern(cond)
 	if en.la == nil || len(en.la.vars) == 0 {
 		return false, false
 	}
-	if p.ids[en.id] {
+	if slices.Contains(p.conj, en) {
 		return true, true
 	}
 	nen := p.s.arena.negation(en)
 	if nen.la == nil || len(nen.la.vars) == 0 {
 		return false, false
 	}
-	if p.ids[nen.id] {
+	if slices.Contains(p.conj, nen) {
 		return false, true
 	}
 	return false, false

@@ -140,6 +140,9 @@ type counters struct {
 	reverifyFailed atomic.Int64
 	feasibleHits   atomic.Int64
 	roundCaps      atomic.Int64
+	// loadedProbe counts loaded Unsat/Unknown hits, for sampling; it is
+	// not reported.
+	loadedProbe atomic.Int64
 }
 
 // Options configure a Solver.
@@ -164,12 +167,11 @@ const cacheEntries = 1 << 18
 // per-query, statistics are atomic, and the verdict cache and its in-flight
 // table sit under one mutex, held only for map lookups and stores.
 type Solver struct {
-	opts        Options
-	stats       counters
-	cache       *verdictCache // nil when disabled
-	loadedProbe atomic.Int64  // loaded Unsat/Unknown hits, for sampling
-	arena       *internArena  // hash-consed expressions (intern.go)
-	propOK      *feasibleMemo // non-refuted split-gate index (learn.go)
+	opts   Options
+	stats  *counters
+	cache  *verdictCache // nil when disabled
+	arena  *internArena  // hash-consed expressions (intern.go)
+	propOK *feasibleMemo // non-refuted split-gate index (learn.go)
 }
 
 // New returns a Solver with the given options.
@@ -180,11 +182,24 @@ func New(opts Options) *Solver {
 	if opts.MaxEnumDomain == 0 {
 		opts.MaxEnumDomain = 1 << 16
 	}
-	s := &Solver{opts: opts, arena: newInternArena(), propOK: newFeasibleMemo()}
+	s := &Solver{opts: opts, stats: &counters{}, arena: newInternArena(), propOK: newFeasibleMemo()}
 	if !opts.DisableCache {
 		s.cache = newVerdictCache(cacheEntries)
 	}
 	return s
+}
+
+// Scoped returns a solver that shares s's verdict cache and its single
+// flight, intern entries, feasible memo and statistics, but keeps its own
+// expression-pointer memo. Every answer, cache key and counter is the one
+// s would give. Engines whose trees nothing looks up once they return
+// (core's client extraction) run on a scoped solver, so those trees are
+// garbage when it goes, instead of staying live in s's memo until s goes
+// or the memo passes its bound.
+func (s *Solver) Scoped() *Solver {
+	c := *s
+	c.arena = s.arena.scoped()
+	return &c
 }
 
 // Default returns a solver with default options.
@@ -385,7 +400,7 @@ func (s *Solver) trustLoaded(key string, ent verdict, constraints []*expr.Expr) 
 		}
 		s.stats.reverified.Add(1)
 	default:
-		if s.loadedProbe.Add(1)%reverifySample == 1 {
+		if s.stats.loadedProbe.Add(1)%reverifySample == 1 {
 			return false
 		}
 	}

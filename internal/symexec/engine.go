@@ -191,8 +191,11 @@ type Options struct {
 	MaxStates int
 	// MaxSteps bounds instructions per state (default 1 << 20).
 	MaxSteps int
-	// Solver decides branch feasibility; a symbolic run defaults to
-	// solver.Default(). A concrete run never asks one and builds none.
+	// Solver decides branch feasibility; a symbolic run left without one
+	// builds a fresh solver.Default(), so callers that run many engines
+	// (core's client extraction passes a scoped view of its run's solver)
+	// set it to share one verdict cache. A concrete run never asks one and
+	// builds none.
 	Solver *solver.Solver
 	// Hooks intercept events.
 	Hooks Hooks
@@ -262,7 +265,7 @@ type Stats struct {
 	SolverCalls int
 
 	// Subsumed counts branch feasibility questions answered by the path
-	// prefix's interned-atom index — a condition (or its complement) already
+	// prefix's interned atoms — a condition (or its complement) already
 	// on the path — without consulting the solver.
 	Subsumed int
 	// Witnessed counts feasibility questions answered by the path model:
@@ -676,7 +679,7 @@ func (e *engine) fireBranch(st *State, cond *expr.Expr) bool {
 //
 // Two fast paths answer without a full solve. Frontier subsumption: when
 // cond (or its complement) is already a conjunctive atom of the path, the
-// prefix's interned-atom index decides the question syntactically with the
+// prefix's interned atoms decide the question syntactically with the
 // exact answer the solver would give (see solver.Prefix.Implies) — this is
 // what collapses the sibling states whose branch condition is implied by an
 // already-explored path. Path model: when the path's model satisfies cond, it

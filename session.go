@@ -97,6 +97,8 @@ func WithMaxStates(n int) Option {
 
 // WithSolver shares a prepared solver (and its verdict cache) with the
 // session — e.g. one kept warm across many sessions of a long-lived server.
+// It answers every phase of the session: client extraction, preprocessing
+// and the server analysis.
 func WithSolver(s *solver.Solver) Option {
 	return func(c *config) { c.aopts.Solver = s }
 }
