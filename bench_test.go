@@ -288,6 +288,27 @@ func BenchmarkSolverCacheHit(b *testing.B) {
 	}
 }
 
+// BenchmarkWarmSolverFSP re-runs the FSP analysis on one warm solver, the
+// steady state of a long-lived daemon: nearly every query is a verdict-cache
+// hit, so what is left is building each query's key and looking it up.
+func BenchmarkWarmSolverFSP(b *testing.B) {
+	s := solver.Default()
+	run := func() {
+		if _, err := core.Run(fsp.NewTarget(false), core.AnalysisOptions{Solver: s}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm the cache
+	s.ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	st := s.Stats()
+	b.ReportMetric(float64(st.CacheHits)/float64(b.N), "hits/op")
+	b.ReportMetric(float64(st.CacheMisses)/float64(b.N), "misses/op")
+}
+
 // BenchmarkConcreteFSPInterpretation: concrete interpretation throughput of
 // one message (the fuzzing inner loop).
 func BenchmarkConcreteFSPInterpretation(b *testing.B) {

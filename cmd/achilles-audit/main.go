@@ -5,7 +5,7 @@
 // Usage:
 //
 //	achilles-audit run  [-out DIR] [-force] [-targets a,b|all] [-modes m1,m2|all] [-j N]
-//	                    [-baseline DIR] [-cache FILE] [-golden DIR] [-timeout DURATION]
+//	                    [-baseline DIR] [-golden DIR] [-timeout DURATION]
 //	                    [-workers N] [-worker-bin PATH]
 //	achilles-audit diff OLD_BUNDLE NEW_BUNDLE
 //	achilles-audit ls   [ROOT]
@@ -19,17 +19,11 @@
 // regression gate; a run truncated by a MaxStates budget counts as
 // divergence too, because its class set is partial.
 //
-// Two flags make repeated audits of an unchanged fleet near-free:
-//
-//   - -baseline DIR reuses reports from a previous bundle for every job
-//     whose input fingerprint (NL model sources + engine/solver/campaign
-//     revisions + mode) matches a clean baseline entry; reused entries are
-//     marked "cached" in the manifest. Changed, new, failed and truncated
-//     jobs re-run.
-//   - -cache FILE persists the solver's formula→verdict cache across
-//     invocations: loaded before the run (a version-mismatched or corrupt
-//     file is ignored with a notice) and saved after, so even a forced full
-//     re-run starts warm. Loaded verdicts are re-verified on first use.
+// -baseline DIR makes a repeated audit of an unchanged fleet near-free: it
+// reuses reports from a previous bundle for every job whose input
+// fingerprint (NL model sources + engine/solver/campaign revisions + mode)
+// matches a clean baseline entry; reused entries are marked "cached" in the
+// manifest. Changed, new, failed and truncated jobs re-run.
 //
 // -out refuses a directory that already contains files unless -force is
 // given (which replaces the previous bundle); without -out a collision-proof
@@ -48,12 +42,10 @@
 // With -workers N (N >= 1) the campaign runs distributed: N achilles-worker
 // subprocesses are spawned (-worker-bin overrides the binary, which is
 // otherwise looked up next to this executable and then on PATH) and jobs are
-// sharded across them by input fingerprint, with work stealing and crash
-// requeue (internal/dispatch). A -cache file seeds every worker, and when
-// -cache is set the verdicts the workers computed are collected from them
-// after the campaign and saved with it. Because job results are
-// deterministic, the bundle is ContentHash-identical to an in-process run at
-// every worker count. The default (0) runs in-process.
+// handed to whichever worker is free, with crash requeue
+// (internal/dispatch); each worker solves on its own solver. Because job
+// results are deterministic, the bundle is ContentHash-identical to an
+// in-process run at every worker count. The default (0) runs in-process.
 //
 // "diff" compares two bundles class-by-class and exits 0 when identical,
 // 1 when Trojan classes appeared, disappeared or changed, 2 on usage or
@@ -86,7 +78,6 @@ import (
 	"achilles/internal/dispatch"
 	_ "achilles/internal/protocols"
 	"achilles/internal/protocols/registry"
-	"achilles/internal/solver"
 )
 
 const defaultRoot = "audits"
@@ -94,7 +85,7 @@ const defaultRoot = "audits"
 func usage(w *os.File) {
 	fmt.Fprintln(w, "usage:")
 	fmt.Fprintln(w, "  achilles-audit run  [-out DIR] [-force] [-targets a,b|all] [-modes m1,m2|all] [-j N]")
-	fmt.Fprintln(w, "                      [-baseline DIR] [-cache FILE] [-golden DIR] [-timeout DURATION]")
+	fmt.Fprintln(w, "                      [-baseline DIR] [-golden DIR] [-timeout DURATION]")
 	fmt.Fprintln(w, "                      [-workers N] [-worker-bin PATH]")
 	fmt.Fprintln(w, "  achilles-audit diff OLD_BUNDLE NEW_BUNDLE")
 	fmt.Fprintln(w, "  achilles-audit ls   [ROOT]")
@@ -182,7 +173,6 @@ func cmdRun(args []string) {
 	modes := fs.String("modes", "optimized", "comma-separated analysis modes, or all")
 	jobs := fs.Int("j", runtime.NumCPU(), "global parallelism budget across the campaign")
 	baseline := fs.String("baseline", "", "previous bundle dir: reuse reports for jobs whose input fingerprint is unchanged")
-	cacheFile := fs.String("cache", "", "persistent solver cache file, loaded before and saved after the run")
 	golden := fs.String("golden", "", "golden corpus dir to cross-check optimized-mode class sets against")
 	timeout := fs.Duration("timeout", 0, "abort the campaign after this long (0 = no deadline); the partial bundle exits 3")
 	workers := fs.Int("workers", 0, "run the campaign on N achilles-worker subprocesses (0 = in-process)")
@@ -216,12 +206,10 @@ func cmdRun(args []string) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	sol := solver.Default()
 	opts := campaign.Options{
 		Targets: targetList,
 		Modes:   modeList,
 		Jobs:    *jobs,
-		Solver:  sol,
 	}
 	if _, err := campaign.Plan(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "achilles-audit:", err)
@@ -240,21 +228,8 @@ func cmdRun(args []string) {
 		opts.Baseline = base
 		opts.BaselineDir = *baseline
 	}
-	if *cacheFile != "" {
-		// A missing cache file is the normal first run; a version-mismatched
-		// or unreadable one means cold (and will be replaced on save) — the
-		// audit must not fail because an accelerator artifact went stale.
-		if loaded, err := sol.LoadCache(*cacheFile); err == nil {
-			fmt.Printf("solver cache: loaded %d verdict(s) from %s\n", loaded, *cacheFile)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fmt.Fprintf(os.Stderr, "achilles-audit: ignoring solver cache: %v\n", err)
-		}
-	}
 	var coord *dispatch.Coordinator
 	if *workers > 0 {
-		// The fleet spawns after the cache load so the coordinator seeds every
-		// worker with the warmed verdict cache; with -cache set, the workers'
-		// verdicts are collected right after the campaign, before the save.
 		bin, err := findWorkerBin(*workerBin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "achilles-audit:", err)
@@ -263,7 +238,6 @@ func cmdRun(args []string) {
 		coord, err = dispatch.Start(dispatch.Config{
 			Workers: *workers,
 			Command: []string{bin},
-			Solver:  sol,
 			Stderr:  os.Stderr,
 		})
 		if err != nil {
@@ -299,39 +273,18 @@ func cmdRun(args []string) {
 	}
 	bundle, runErr := campaign.RunCtx(ctx, opts)
 	// Restore default signal handling now: the campaign is done, and a
-	// second Ctrl-C must be able to kill the process during the cache save
-	// and bundle flush below (the atomic manifest write makes that safe).
+	// second Ctrl-C must be able to kill the process during the bundle
+	// flush below (the atomic manifest write makes that safe).
 	stopSignals()
 	if coord != nil {
-		// Pull what the fleet learned before the save below — even from an
-		// interrupted campaign, as the in-process path saves its verdicts
-		// too — then tear the fleet down before anything else, so a
-		// cancelled campaign leaves no worker processes running. The collect
-		// gets the same grace Close gives a worker that ignores shutdown.
-		if *cacheFile != "" {
-			cctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			if n, err := coord.CollectCache(cctx); err != nil {
-				fmt.Fprintln(os.Stderr, "achilles-audit: collecting worker verdicts:", err)
-			} else {
-				fmt.Printf("solver cache: collected %d verdict(s) from the workers\n", n)
-			}
-			cancel()
-		}
+		// Tear the fleet down before anything else, so a cancelled campaign
+		// leaves no worker processes running.
 		coord.Close()
 	}
 	interrupted := errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)
 	if runErr != nil && !interrupted {
 		fmt.Fprintln(os.Stderr, "achilles-audit:", runErr)
 		os.Exit(1)
-	}
-	// Persist the solver cache before anything that can still fail: the
-	// verdicts are valuable even if writing the bundle errors out.
-	if *cacheFile != "" {
-		if err := sol.SaveCache(*cacheFile); err != nil {
-			fmt.Fprintln(os.Stderr, "achilles-audit:", err)
-		} else {
-			fmt.Printf("solver cache: saved to %s\n", *cacheFile)
-		}
 	}
 	if *force {
 		err = bundle.Overwrite(dir)

@@ -131,44 +131,6 @@ func TestDistributedRunSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
-// TestDistributedRunPersistsCache: with -workers and -cache together, the
-// verdicts the workers computed reach the cache file, and a second
-// distributed run loads them and hashes equal to the first.
-func TestDistributedRunPersistsCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns real audit subprocesses")
-	}
-	root := t.TempDir()
-	cache := filepath.Join(root, "solver-cache.jsonl")
-	shim := workerShim(t)
-	run := func(name string) string {
-		t.Helper()
-		out, err := reexecAudit(t, "run -targets kv,kv-fixed -j 2 -workers 2 -worker-bin "+shim+" -cache "+cache+" -out "+filepath.Join(root, name)).CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s run: %v\n%s", name, err, out)
-		}
-		return string(out)
-	}
-
-	run("cold")
-	if st, err := os.Stat(cache); err != nil || st.Size() == 0 {
-		t.Fatalf("distributed run left no cache file behind: %v", err)
-	}
-	out := run("warm")
-	var loaded int
-	for _, line := range strings.Split(out, "\n") {
-		if _, err := fmt.Sscanf(line, "solver cache: loaded %d verdict(s)", &loaded); err == nil {
-			break
-		}
-	}
-	if loaded == 0 {
-		t.Fatalf("warm run loaded no verdicts:\n%s", out)
-	}
-	if h1, h2 := bundleHash(t, filepath.Join(root, "cold")), bundleHash(t, filepath.Join(root, "warm")); h1 != h2 {
-		t.Fatalf("warm distributed bundle drifted: %s != %s", h2, h1)
-	}
-}
-
 // TestLsShowsContentHashAndInterrupted: the listing carries each bundle's
 // short content hash and flags interrupted bundles.
 func TestLsShowsContentHashAndInterrupted(t *testing.T) {

@@ -6,10 +6,8 @@
 // handshake and then waits for assignments, so a terminal session just sits
 // silent. Its stderr passes through to the coordinator's for human eyes.
 //
-// Each worker owns a private solver whose verdict cache is seeded by the
-// coordinator at spawn; the verdicts it computes itself stay in that cache
-// until the coordinator collects them (achilles-audit does so only when
-// -cache is set, to persist them). Because a job's class set is a
+// Each worker owns a private solver, shared by the jobs it runs; no verdict
+// crosses the pipe in either direction. Because a job's class set is a
 // deterministic function of its inputs, a fleet of these produces bundles
 // ContentHash-identical to a single-process run.
 //

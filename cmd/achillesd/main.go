@@ -4,7 +4,7 @@
 // Usage:
 //
 //	achillesd [-addr HOST:PORT] [-j N] [-quota N] [-store DIR]
-//	          [-cache FILE] [-drain-timeout DURATION]
+//	          [-drain-timeout DURATION]
 //
 // Clients POST audit jobs to /v1/jobs, follow them as server-sent events on
 // /v1/jobs/{id}/events, and fetch the persisted bundles — byte-identical to
@@ -24,14 +24,10 @@
 // -drain-timeout. A listener failure after startup runs the same drain
 // before exiting 1. Usage errors (unknown flags, bad -j, an address already
 // in use) exit 2.
-//
-// With -cache the solver's formula→verdict cache is loaded at startup and
-// saved back after the drain, like achilles-audit run.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -44,7 +40,6 @@ import (
 
 	_ "achilles/internal/protocols"
 	"achilles/internal/serve"
-	"achilles/internal/solver"
 )
 
 func main() {
@@ -59,7 +54,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	jobs := fs.Int("j", runtime.NumCPU(), "global analysis worker budget shared by all concurrent jobs")
 	quota := fs.Int("quota", 4, "max in-flight jobs per client before 429 backpressure")
 	store := fs.String("store", "achillesd-store", "content-addressed bundle store directory")
-	cacheFile := fs.String("cache", "", "persistent solver cache file, loaded at startup and saved after the drain")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a shutdown waits for running jobs to unwind")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -80,19 +74,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	sol := solver.Default()
-	if *cacheFile != "" {
-		if loaded, err := sol.LoadCache(*cacheFile); err == nil {
-			fmt.Fprintf(stdout, "solver cache: loaded %d verdict(s) from %s\n", loaded, *cacheFile)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fmt.Fprintf(stderr, "achillesd: ignoring solver cache: %v\n", err)
-		}
-	}
 	srv, err := serve.New(serve.Config{
 		Workers:     *jobs,
 		ClientQuota: *quota,
 		StoreDir:    *store,
-		Solver:      sol,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "achillesd:", err)
@@ -124,8 +109,8 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stdout, "achillesd: %v — draining\n", sig)
 	case err := <-serveErr:
 		// A listener failure is no reason to abandon in-flight jobs: fall
-		// through to the same drain-and-save epilogue the signal path runs,
-		// then report the serve error.
+		// through to the same drain epilogue the signal path runs, then
+		// report the serve error.
 		fmt.Fprintln(stderr, "achillesd:", err)
 		exit = 1
 	}
@@ -143,13 +128,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	srv.Drain()
 	httpSrv.Shutdown(ctx)
 	drainErr := srv.Shutdown(ctx)
-	if *cacheFile != "" {
-		if err := sol.SaveCache(*cacheFile); err != nil {
-			fmt.Fprintln(stderr, "achillesd:", err)
-		} else {
-			fmt.Fprintf(stdout, "solver cache: saved to %s\n", *cacheFile)
-		}
-	}
 	if exit != 0 {
 		return exit
 	}

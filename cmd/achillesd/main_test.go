@@ -198,7 +198,7 @@ func TestHelpMentionsFlags(t *testing.T) {
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
 		t.Fatalf("-h: want exit 2, got %v", err)
 	}
-	for _, flag := range []string{"-addr", "-j", "-quota", "-store", "-cache", "-drain-timeout"} {
+	for _, flag := range []string{"-addr", "-j", "-quota", "-store", "-drain-timeout"} {
 		if !strings.Contains(string(out), flag) {
 			t.Errorf("usage text missing %s:\n%s", flag, out)
 		}

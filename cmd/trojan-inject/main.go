@@ -16,7 +16,7 @@
 //
 //	trojan-inject -mutate [-targets fsp,kv,raft] [-max N] [-ops a,b] \
 //	    [-j N] [-mode optimized] [-out DIR [-force]] [-baseline DIR] \
-//	    [-report FILE] [-cache FILE]
+//	    [-report FILE]
 //
 // The campaign exits 0 when every hand-seeded ground-truth Trojan was
 // detected, 1 when one was missed (a false negative on a known bug) or the
@@ -39,7 +39,6 @@ import (
 	"achilles/internal/mutate"
 	_ "achilles/internal/protocols"
 	"achilles/internal/protocols/registry"
-	"achilles/internal/solver"
 )
 
 func main() {
@@ -57,11 +56,10 @@ func main() {
 	force := flag.Bool("force", false, "replace an existing bundle at -out")
 	baseline := flag.String("baseline", "", "previous bundle dir: reuse reports for jobs whose input fingerprint is unchanged")
 	report := flag.String("report", "", "write the machine-readable recall report (JSON) to this file")
-	cacheFile := flag.String("cache", "", "persistent solver cache file, loaded before and saved after the run")
 	flag.Parse()
 
 	if *mutateMode {
-		os.Exit(runMutate(*targets, *ops, *mode, *out, *baseline, *report, *cacheFile, *max, *jobs, *force))
+		os.Exit(runMutate(*targets, *ops, *mode, *out, *baseline, *report, *max, *jobs, *force))
 	}
 
 	if _, ok := registry.Lookup(*targetName); !ok {
@@ -84,7 +82,7 @@ func main() {
 }
 
 // runMutate drives one mutation-recall campaign and returns the exit code.
-func runMutate(targets, ops, modeArg, out, baselineDir, reportFile, cacheFile string, max, jobs int, force bool) int {
+func runMutate(targets, ops, modeArg, out, baselineDir, reportFile string, max, jobs int, force bool) int {
 	if jobs < 1 {
 		fmt.Fprintf(os.Stderr, "trojan-inject: invalid -j %d (must be >= 1)\n", jobs)
 		return 2
@@ -104,7 +102,6 @@ func runMutate(targets, ops, modeArg, out, baselineDir, reportFile, cacheFile st
 		Jobs:         jobs,
 		MaxPerTarget: max,
 		Operators:    splitList(ops),
-		Solver:       solver.Default(),
 	}
 	for _, name := range opts.Targets {
 		if _, ok := registry.Lookup(name); !ok {
@@ -142,14 +139,6 @@ func runMutate(targets, ops, modeArg, out, baselineDir, reportFile, cacheFile st
 			return 2
 		}
 	}
-	if cacheFile != "" {
-		if loaded, err := opts.Solver.LoadCache(cacheFile); err == nil {
-			fmt.Printf("solver cache: loaded %d verdict(s) from %s\n", loaded, cacheFile)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			fmt.Fprintf(os.Stderr, "trojan-inject: ignoring solver cache: %v\n", err)
-		}
-	}
-
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 	res, runErr := mutate.RunCtx(ctx, opts)
@@ -157,13 +146,6 @@ func runMutate(targets, ops, modeArg, out, baselineDir, reportFile, cacheFile st
 	if runErr != nil && !errors.Is(runErr, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "trojan-inject:", runErr)
 		return 1
-	}
-	if cacheFile != "" {
-		if err := opts.Solver.SaveCache(cacheFile); err != nil {
-			fmt.Fprintln(os.Stderr, "trojan-inject:", err)
-		} else {
-			fmt.Printf("solver cache: saved to %s\n", cacheFile)
-		}
 	}
 	if out != "" {
 		werr := res.Bundle.Write(out)

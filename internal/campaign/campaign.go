@@ -29,10 +29,9 @@
 // baseline bundle (Options.Baseline) reuses baseline reports verbatim for
 // jobs whose fingerprint matches a clean entry, re-running only changed,
 // new, failed or truncated jobs. Reused entries are marked Cached so the
-// manifest never overstates what ran. Combined with the solver's persisted
-// verdict cache (solver.SaveCache/LoadCache, the -cache flag), repeated
-// audits of an unchanged fleet cost fingerprint recomputation instead of
-// O(catalog) re-exploration.
+// manifest never overstates what ran, and a repeated audit of an unchanged
+// fleet costs fingerprint recomputation instead of O(catalog)
+// re-exploration.
 package campaign
 
 import (
@@ -320,12 +319,10 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 	}
 	st := sol.Stats()
 	b.Manifest.Solver = Counters{
-		"queries":         int64(st.Queries - before.Queries),
-		"cache_hits":      int64(st.CacheHits - before.CacheHits),
-		"cache_misses":    int64(st.CacheMisses - before.CacheMisses),
-		"unknowns":        int64(st.Unknowns - before.Unknowns),
-		"reverified":      int64(st.Reverified - before.Reverified),
-		"reverify_failed": int64(st.ReverifyFailed - before.ReverifyFailed),
+		"queries":      int64(st.Queries - before.Queries),
+		"cache_hits":   int64(st.CacheHits - before.CacheHits),
+		"cache_misses": int64(st.CacheMisses - before.CacheMisses),
+		"unknowns":     int64(st.Unknowns - before.Unknowns),
 	}
 	return b, ctx.Err()
 }

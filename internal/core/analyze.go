@@ -435,7 +435,7 @@ func (a *analysis) witnessed(st *symexec.State, m expr.Env, cond *expr.Expr, suf
 // model for i's bind key, cond the condition the path gained since (both nil
 // without a parent state). The query reuses the state's solver prefix.
 func (a *analysis) triggerable(st *symexec.State, i int, m expr.Env, cond *expr.Expr) (bool, expr.Env) {
-	bind := a.pc.Paths[i].bind
+	bind := a.pc.Paths[i].Bind()
 	if a.witnessed(st, m, cond, bind) {
 		return true, m
 	}
@@ -756,8 +756,9 @@ func (a *analysis) verifyNotClient(msg []int64, stateEnv expr.Env) bool {
 		if a.pc.refutedAt(i, msg, env) {
 			continue
 		}
-		q := make([]*expr.Expr, 0, len(cp.bind)+len(eqs))
-		q = append(q, cp.bind...)
+		bind := cp.Bind()
+		q := make([]*expr.Expr, 0, len(bind)+len(eqs))
+		q = append(q, bind...)
 		q = append(q, eqs...)
 		if res, _ := a.sol.CheckCtx(a.runCtx, q); res == solver.Sat {
 			return false

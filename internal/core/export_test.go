@@ -41,3 +41,10 @@ func KVars(pc *ClientPredicate, i int) [][]string { return pc.Paths[i].kvars }
 
 // MsgVar returns the predicate's message variable node for field f.
 func MsgVar(pc *ClientPredicate, f int) *expr.Expr { return pc.msgVar(f) }
+
+// BindBuilt reports whether client path i's bind has been built.
+func BindBuilt(pc *ClientPredicate, i int) bool { return pc.Paths[i].bind != nil }
+
+// BuildBind builds client path i's bind afresh, as preprocessing once did
+// for every path.
+func BuildBind(pc *ClientPredicate, i int) []*expr.Expr { return pc.buildBind(pc.Paths[i]) }

@@ -25,6 +25,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"achilles/internal/expr"
 	"achilles/internal/lang"
@@ -60,8 +61,12 @@ type ClientPath struct {
 	fieldKind []FieldKind
 	// bind: m_f == E'_f for every field plus K', with input vars renamed
 	// c{ID}_*; satisfiable together with a server path iff a message on that
-	// server path is generatable by this client path.
-	bind []*expr.Expr
+	// server path is generatable by this client path. Built by Bind on first
+	// read, through pc, the predicate that preprocessed the path (nil
+	// before): a run reads few of them (32 of 256 on the rich FSP corpus).
+	pc       *ClientPredicate
+	bindOnce sync.Once
+	bind     []*expr.Expr
 	// negation is negate(pathC): the kept per-field negation disjuncts over
 	// the server message vars, folded into one disjunction in field order
 	// (false when every field was abandoned).
@@ -87,9 +92,17 @@ type ClientPath struct {
 // BindKey exposes the canonical message-relevant signature.
 func (cp *ClientPath) BindKey() string { return cp.bindKey }
 
-// Bind returns the cached binding constraints (message equality plus client
-// path constraints, alpha-renamed). The slice must not be modified.
-func (cp *ClientPath) Bind() []*expr.Expr { return cp.bind }
+// Bind returns the binding constraints (message equality plus client path
+// constraints, alpha-renamed), built on the first call and cached; nil when
+// the path was never preprocessed. Safe for concurrent use. The slice must
+// not be modified.
+func (cp *ClientPath) Bind() []*expr.Expr {
+	if cp.pc == nil {
+		return nil
+	}
+	cp.bindOnce.Do(func() { cp.bind = cp.pc.buildBind(cp) })
+	return cp.bind
+}
 
 // Negation returns negate(pathC) as a single disjunction over the server
 // message variables, skipping abandoned fields. An empty disjunction (false)
@@ -397,17 +410,17 @@ func (pc *ClientPredicate) FieldIndexOfVar(name string) int {
 	return n
 }
 
-// PreprocessParallelCtx builds, for every client path, the binding
-// constraints, the field classification, the negation disjuncts (with the
-// §4.1 overlap check), and the differentFrom matrix (§3.3). The per-path
-// work (binding, field classification, negation with its overlap solver
-// queries, bind keys) fans out over the given number of workers. Paths are
-// independent, so the produced artifacts do not depend on the worker
-// count; per-path counters are summed in path order, keeping
-// PreprocessStats deterministic. Numbering the negations and the
-// differentFrom matrix stay sequential: the matrix asks one query per
-// member-class pair (84 on the rich 256-path FSP corpus), which is too
-// little work to fan out.
+// PreprocessParallelCtx builds, for every client path, the field
+// classification, the negation disjuncts (with the §4.1 overlap check), and
+// the differentFrom matrix (§3.3), and readies the path's binding
+// constraints, which Bind builds on first read. The per-path work (field
+// classification, negation with its overlap solver queries, bind keys) fans
+// out over the given number of workers. Paths are independent, so the
+// produced artifacts do not depend on the worker count; per-path counters
+// are summed in path order, keeping PreprocessStats deterministic.
+// Numbering the negations and the differentFrom matrix stay sequential: the
+// matrix asks one query per member-class pair (84 on the rich 256-path FSP
+// corpus), which is too little work to fan out.
 //
 // Cancellation skips the remaining per-path work and leaves the
 // differentFrom matrix unset, so every entry reads TriUnknown (the
@@ -437,11 +450,11 @@ func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.
 			return
 		}
 		cp := pc.Paths[i]
+		cp.pc = pc
 		cp.kvars = make([][]string, len(cp.Constraints))
 		for k, c := range cp.Constraints {
 			cp.kvars[k] = expr.Vars(c)
 		}
-		pc.buildBind(cp)
 		pc.classifyFields(cp)
 		pc.buildNegation(ctx, cp, s, &stats[i])
 		pc.buildBindKey(cp)
@@ -548,9 +561,9 @@ func (pc *ClientPredicate) isShared(name string) bool {
 	return strings.HasPrefix(name, "state_") || pc.sharedVars[name]
 }
 
-// buildBind caches bind_i = { m_f == E'_f } ∪ K' with inputs renamed c{i}_
+// buildBind builds bind_i = { m_f == E'_f } ∪ K' with inputs renamed c{i}_
 // (shared state variables keep their names).
-func (pc *ClientPredicate) buildBind(cp *ClientPath) {
+func (pc *ClientPredicate) buildBind(cp *ClientPath) []*expr.Expr {
 	prefix := "c" + strconv.Itoa(cp.ID) + "_"
 	ren := func(n string) string {
 		if pc.isShared(n) {
@@ -558,13 +571,14 @@ func (pc *ClientPredicate) buildBind(cp *ClientPath) {
 		}
 		return prefix + n
 	}
-	cp.bind = make([]*expr.Expr, 0, len(cp.Fields)+len(cp.Constraints))
+	bind := make([]*expr.Expr, 0, len(cp.Fields)+len(cp.Constraints))
 	for f, e := range cp.Fields {
-		cp.bind = append(cp.bind, expr.Eq(pc.msgVar(f), expr.RenameVars(e, ren)))
+		bind = append(bind, expr.Eq(pc.msgVar(f), expr.RenameVars(e, ren)))
 	}
 	for _, k := range cp.Constraints {
-		cp.bind = append(cp.bind, expr.RenameVars(k, ren))
+		bind = append(bind, expr.RenameVars(k, ren))
 	}
+	return bind
 }
 
 // constraintsMentioning returns, in path order, the constraints that
@@ -683,7 +697,7 @@ func (pc *ClientPredicate) buildNegation(ctx context.Context, cp *ClientPath, s 
 		if cp.fieldKind[f] != FieldConst && cp.fieldKind[f] != FieldState &&
 			!(cp.fieldKind[f] == FieldVar && cp.simpleField[f]) {
 			stats.SolverQueries++
-			q := append(append([]*expr.Expr{}, cp.bind...), d)
+			q := append(append([]*expr.Expr{}, cp.Bind()...), d)
 			if res, _ := s.CheckCtx(ctx, q); res != solver.Unsat {
 				stats.OverlapDropped++
 				continue

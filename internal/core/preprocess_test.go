@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"achilles/internal/core"
@@ -57,6 +58,34 @@ func TestPreprocessSharesMessageVars(t *testing.T) {
 		// vacuously.
 		if min := len(pc.Paths) * pc.NumFields; vars < min {
 			t.Fatalf("-j %d: %d message variables in binds and negations, want at least %d", j, vars, min)
+		}
+	}
+}
+
+// TestBindsBuiltOnDemand holds that a run builds only the binds it reads:
+// 32 of the rich FSP corpus's 256 at -j 1 and -j 2. A bind the run never
+// read is built by its first Bind call and equals an eager buildBind.
+func TestBindsBuiltOnDemand(t *testing.T) {
+	for _, j := range []int{1, 2} {
+		run, err := core.Run(fsp.NewRichTarget(false), core.AnalysisOptions{Parallelism: j})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := run.Clients
+		var unread []int
+		for i := range pc.Paths {
+			if !core.BindBuilt(pc, i) {
+				unread = append(unread, i)
+			}
+		}
+		if built := len(pc.Paths) - len(unread); len(pc.Paths) != 256 || built != 32 {
+			t.Fatalf("-j %d: %d of %d binds built, want 32 of 256", j, built, len(pc.Paths))
+		}
+		for _, i := range unread {
+			got, want := pc.Paths[i].Bind(), core.BuildBind(pc, i)
+			if !slices.EqualFunc(got, want, expr.Equal) {
+				t.Fatalf("-j %d: path %d: Bind() = %v, eager build = %v", j, i, got, want)
+			}
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package dispatch
 
 // The coordinator half of the protocol: spawn N workers, validate their
-// hellos, seed their caches, shard the job graph by fingerprint, and merge
-// results back into one campaign. It implements campaign.Executor, so the
-// campaign engine drives it exactly like the in-process pool.
+// hellos, hand each job to a free worker, and merge results back into one
+// campaign. It implements campaign.Executor, so the campaign engine drives
+// it exactly like the in-process pool.
 
 import (
 	"context"
@@ -29,10 +29,8 @@ type Config struct {
 	// stdin/stdout; stderr passes through to Stderr.
 	Command []string
 
-	// Solver is the coordinator-side solver. Its verdict cache seeds every
-	// worker at spawn (so `-cache` warm-starts the fleet), and CollectCache
-	// merges the verdicts the workers computed back into it (so `-cache`
-	// persists fleet-learned verdicts). Nil means solver.Default().
+	// Solver is unused: every job solves in a worker, on the worker's own
+	// solver. It remains for callers that still set it.
 	Solver *solver.Solver
 
 	// Stderr receives the workers' stderr; nil means os.Stderr.
@@ -90,7 +88,6 @@ type workerProc struct {
 
 	mu       sync.Mutex
 	inflight map[int]*inflightJob
-	collects map[int]chan []solver.CacheEntry // pending collect replies by ID
 
 	exited chan struct{} // closed by the reader once the worker is reaped
 }
@@ -119,7 +116,6 @@ var (
 // it run on whichever worker subprocess is free, with crash requeue.
 type Coordinator struct {
 	cfg     Config
-	sol     *solver.Solver
 	workers []*workerProc
 
 	mu     sync.Mutex
@@ -133,8 +129,7 @@ type Coordinator struct {
 // Start spawns the worker fleet and validates every worker's hello
 // handshake; any spawn or handshake failure tears the whole fleet down and
 // reports the error — a campaign must not silently run on a partial or
-// version-skewed pool. The coordinator's solver cache (if any) is pushed to
-// every worker before the first job.
+// version-skewed pool.
 func Start(cfg Config) (*Coordinator, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("dispatch: need at least 1 worker, got %d", cfg.Workers)
@@ -146,13 +141,8 @@ func Start(cfg Config) (*Coordinator, error) {
 		}
 		spawn = spawnProc(cfg)
 	}
-	sol := cfg.Solver
-	if sol == nil {
-		sol = solver.Default()
-	}
 	c := &Coordinator{
 		cfg:  cfg,
-		sol:  sol,
 		busy: make([]bool, cfg.Workers),
 		dead: make([]bool, cfg.Workers),
 	}
@@ -176,7 +166,6 @@ func Start(cfg Config) (*Coordinator, error) {
 			io:       wio,
 			wire:     newWire(wio.out, wio.in),
 			inflight: map[int]*inflightJob{},
-			collects: map[int]chan []solver.CacheEntry{},
 			exited:   make(chan struct{}),
 		}
 		c.workers = append(c.workers, w)
@@ -188,17 +177,6 @@ func Start(cfg Config) (*Coordinator, error) {
 		}
 		if err := checkHello(m); err != nil {
 			return fail(fmt.Errorf("dispatch: worker %d: %w", i, err))
-		}
-	}
-
-	// Seed every worker with the coordinator's warm cache (the -cache file a
-	// campaign loaded before starting the fleet). Workers leave seeded keys
-	// out of their collect replies, so none of this comes back.
-	if entries, err := sol.ExportCache(); err == nil && len(entries) > 0 {
-		for _, w := range c.workers {
-			if err := w.send(message{Type: msgCache, Entries: entries}); err != nil {
-				return fail(fmt.Errorf("dispatch: seeding worker %d cache: %w", w.id, err))
-			}
 		}
 	}
 
@@ -321,9 +299,9 @@ func (c *Coordinator) runOn(ctx context.Context, w *workerProc, j campaign.Job, 
 }
 
 // readLoop owns a worker's stdout: it routes report/done messages to their
-// in-flight assignment and collect replies to their waiting CollectCache.
-// When the pipe breaks it reaps the worker, fails its in-flight assignment
-// (triggering the requeue) and wakes every acquire waiter.
+// in-flight assignment. When the pipe breaks it reaps the worker, fails its
+// in-flight assignment (triggering the requeue) and wakes every acquire
+// waiter.
 func (c *Coordinator) readLoop(w *workerProc) {
 	for {
 		m, err := w.wire.read()
@@ -347,13 +325,6 @@ func (c *Coordinator) readLoop(w *workerProc) {
 				close(p.done)
 			}
 			w.mu.Unlock()
-		case msgCache:
-			w.mu.Lock()
-			if reply := w.collects[m.ID]; reply != nil {
-				delete(w.collects, m.ID)
-				reply <- m.Entries // buffered: one reply per request
-			}
-			w.mu.Unlock()
 		default:
 			// Forward compatibility: ignore unknown uplink types.
 		}
@@ -371,51 +342,6 @@ func (c *Coordinator) readLoop(w *workerProc) {
 	}
 	w.mu.Unlock()
 	close(w.exited)
-}
-
-// CollectCache merges the verdicts every live worker computed itself (not
-// its seed) into the coordinator's solver and returns how many were new to
-// it. Workers answer from their reader goroutine, so a reply never waits
-// behind a job in flight; a worker that dies first is skipped, and a
-// cancelled ctx ends the wait with ctx.Err().
-func (c *Coordinator) CollectCache(ctx context.Context) (int, error) {
-	c.mu.Lock()
-	c.nextID++
-	id := c.nextID
-	c.mu.Unlock()
-	replies := make([]chan []solver.CacheEntry, len(c.workers))
-	for i, w := range c.workers {
-		// Buffered: a reply that outlives an abandoned wait must not block
-		// the reader.
-		replies[i] = make(chan []solver.CacheEntry, 1)
-		w.mu.Lock()
-		w.collects[id] = replies[i]
-		w.mu.Unlock()
-		w.send(message{Type: msgCollect, ID: id}) // fails only on a dead worker
-	}
-	merged := 0
-	var errs []error
-	for i, w := range c.workers {
-		var entries []solver.CacheEntry
-		select {
-		case entries = <-replies[i]:
-		case <-w.exited:
-			// The reader delivers a reply before it closes exited.
-			select {
-			case entries = <-replies[i]:
-			default:
-				continue
-			}
-		case <-ctx.Done():
-			return merged, ctx.Err()
-		}
-		n, err := c.sol.ImportCache(entries)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("dispatch: worker %d: %w", w.id, err))
-		}
-		merged += n
-	}
-	return merged, errors.Join(errs...)
 }
 
 // Close tears the fleet down leak-free: a clean shutdown message and stdin

@@ -8,19 +8,16 @@
 // onto Achilles' job graph:
 //
 //   - the coordinator hands each job to the lowest-numbered free worker,
-//     so no worker idles behind a straggler. Workers are spawned per run
-//     and every one gets the same cache seed, so where a job runs earns no
-//     cache reuse;
+//     so no worker idles behind a straggler. Workers are spawned per run;
 //   - coordinator and workers speak a versioned JSONL protocol over the
-//     worker's stdin/stdout: the seed, jobs and collect requests flow down;
-//     reports, manifests and collect replies flow up.
-//     stderr is passed through for human eyes;
+//     worker's stdin/stdout: jobs and shutdown flow down; reports and
+//     manifests flow up. stderr is passed through for human eyes;
 //   - a worker that crashes or closes its pipes mid-job has that job
 //     requeued on another live worker; only when every worker is gone does
 //     a job fail, with the pool's demise recorded in its manifest entry;
-//   - verdicts stay where they were proved: the coordinator seeds every
-//     worker with its cache at spawn and pulls back what the workers
-//     computed (CollectCache) only when a caller persists the cache.
+//   - verdicts stay where they were proved: every worker solves on a
+//     private solver, whose cache keys name intern IDs that mean nothing
+//     to another process, so no verdict crosses a pipe.
 //
 // Determinism: a job's manifest entry and report stream are a pure function
 // of its inputs (the core contract pinned since PR 1 — class sets are
@@ -28,9 +25,9 @@
 // job, in which order, with which cache warmth therefore cannot change the
 // bundle's stable content, so campaigns at -workers 1, 2 and N hash
 // identically to the in-process engine. The wire carries the same
-// structures the bundle persists (campaign.RunManifest, campaign.Report,
-// solver.CacheEntry), re-marshalled by the coordinator into the bundle's
-// canonical layout — bytes on disk never depend on a worker's encoder.
+// structures the bundle persists (campaign.RunManifest, campaign.Report),
+// re-marshalled by the coordinator into the bundle's canonical layout —
+// bytes on disk never depend on a worker's encoder.
 package dispatch
 
 import (
@@ -45,8 +42,9 @@ import (
 // ProtoVersion is the wire-protocol revision. A coordinator refuses a
 // worker that greets with a different revision — mixing protocol dialects
 // mid-campaign could drop or misroute results, which is strictly worse than
-// failing fast at spawn time.
-const ProtoVersion = 2
+// failing fast at spawn time. Revision 3 dropped the verdict seed and
+// collect messages.
+const ProtoVersion = 3
 
 // Message types, in the order they typically flow.
 const (
@@ -59,11 +57,6 @@ const (
 	msgReport = "report"
 	// msgDone completes a job with its manifest entry (worker → coordinator).
 	msgDone = "done"
-	// msgCache carries verdicts: the seed (coordinator → worker) or a
-	// collect reply with the request's ID (worker → coordinator).
-	msgCache = "cache"
-	// msgCollect asks for a worker's own verdicts (coordinator → worker).
-	msgCollect = "collect"
 	// msgShutdown asks the worker to exit cleanly (coordinator → worker).
 	msgShutdown = "shutdown"
 )
@@ -80,8 +73,8 @@ type message struct {
 	Campaign string `json:"campaign,omitempty"` // campaign.Version
 	Solver   string `json:"solver,omitempty"`   // solver.Version
 
-	// job / report / done / collect routing. IDs start at 1 so a
-	// zero ID always means "malformed".
+	// job / report / done routing. IDs start at 1 so a zero ID always
+	// means "malformed".
 	ID int `json:"id,omitempty"`
 
 	// job assignment
@@ -92,9 +85,6 @@ type message struct {
 	// report / done payloads
 	Report *campaign.Report      `json:"report,omitempty"`
 	Run    *campaign.RunManifest `json:"run,omitempty"`
-
-	// cache seed or collect reply
-	Entries []solver.CacheEntry `json:"entries,omitempty"`
 }
 
 // wire wraps one side of a JSONL pipe pair. Writes are line-atomic under a

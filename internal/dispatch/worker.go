@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 
 	"achilles/internal/campaign"
 	"achilles/internal/core"
@@ -20,10 +19,8 @@ import (
 
 // WorkerConfig configures one Serve loop.
 type WorkerConfig struct {
-	// Solver is the worker's verdict-cache-bearing solver; nil means
-	// solver.Default(). The coordinator's seed merges into it (marked for
-	// first-use re-verification); the verdicts it computes itself go back
-	// only on a collect request.
+	// Solver answers every job the worker runs, so jobs on one worker share
+	// its verdict cache; nil means solver.Default().
 	Solver *solver.Solver
 
 	// CrashJob and CrashOnce are the crash-recovery fault injection used by
@@ -47,7 +44,7 @@ type WorkerConfig struct {
 // clean shutdown or EOF and an error on a malformed stream. Jobs execute
 // one at a time — the coordinator's per-worker parallelism grant governs
 // intra-job concurrency — while the pipe is drained concurrently, so a
-// collect request is answered (and a dead coordinator noticed) mid-job.
+// dead coordinator is noticed mid-job.
 func Serve(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 	sol := cfg.Solver
 	if sol == nil {
@@ -57,20 +54,15 @@ func Serve(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 	if exit == nil {
 		exit = os.Exit
 	}
-	w := &workerState{
-		wire:   newWire(in, out),
-		sol:    sol,
-		seeded: map[string]bool{},
-	}
-	if err := w.send(helloMessage()); err != nil {
+	w := newWire(in, out)
+	if err := w.write(helloMessage()); err != nil {
 		return fmt.Errorf("dispatch: worker hello: %w", err)
 	}
 
-	// The reader goroutine owns stdin: jobs flow to the execution loop, the
-	// seed and collect requests are handled here (the solver is
-	// concurrency-safe), and EOF/shutdown cancels the context so an in-flight
-	// exploration stops instead of orphaning a full-speed analysis under a
-	// dead coordinator.
+	// The reader goroutine owns stdin: jobs flow to the execution loop, and
+	// EOF/shutdown cancels the context so an in-flight exploration stops
+	// instead of orphaning a full-speed analysis under a dead coordinator.
+	// Only the execution loop writes to stdout.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	jobs := make(chan message)
@@ -79,7 +71,7 @@ func Serve(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 		defer cancel()
 		defer close(jobs)
 		for {
-			m, err := w.wire.read()
+			m, err := w.read()
 			if err != nil {
 				if !errors.Is(err, io.EOF) && ctx.Err() == nil {
 					readErr = err
@@ -93,10 +85,6 @@ func Serve(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 				case <-ctx.Done():
 					return
 				}
-			case msgCache:
-				w.seed(m.Entries)
-			case msgCollect:
-				w.send(message{Type: msgCache, ID: m.ID, Entries: w.learned()})
 			case msgShutdown:
 				return
 			default:
@@ -110,7 +98,7 @@ func Serve(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 	for m := range jobs {
 		mode, err := core.ParseMode(m.Mode)
 		if err != nil {
-			w.send(message{Type: msgDone, ID: m.ID, Run: &campaign.RunManifest{
+			w.write(message{Type: msgDone, ID: m.ID, Run: &campaign.RunManifest{
 				Target: m.Target, Mode: m.Mode, Error: fmt.Sprintf("worker: bad mode %q: %v", m.Mode, err),
 			}})
 			continue
@@ -119,7 +107,7 @@ func Serve(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 		if cfg.CrashJob != "" && j.Key() == cfg.CrashJob && claimCrashOnce(cfg.CrashOnce) {
 			exit(1)
 		}
-		w.runJob(ctx, m.ID, j, m.Parallelism)
+		runJob(ctx, w, sol, m.ID, j, m.Parallelism)
 	}
 	return readErr
 }
@@ -138,58 +126,14 @@ func claimCrashOnce(path string) bool {
 	return true
 }
 
-// workerState is the mutable half a Serve loop threads through its
-// goroutines.
-type workerState struct {
-	wire *wire
-	sol  *solver.Solver
-
-	wmu sync.Mutex // serialises writes: job results, collect replies
-
-	seeded map[string]bool // keys the coordinator sent; reader goroutine only
-}
-
-func (w *workerState) send(m message) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return w.wire.write(m)
-}
-
-// seed folds the coordinator's cache into the local solver and remembers
-// its keys, so collect replies carry only what this worker computed.
-func (w *workerState) seed(entries []solver.CacheEntry) {
-	for _, e := range entries {
-		w.seeded[e.Key] = true
-	}
-	// Invalid entries reject the batch; a coordinator speaking this proto
-	// never produces them, and a worker must not die over a bad seed.
-	w.sol.ImportCache(entries)
-}
-
-// learned returns the verdicts this worker computed itself: its cache minus
-// the seed.
-func (w *workerState) learned() []solver.CacheEntry {
-	all, err := w.sol.ExportCache()
-	if err != nil {
-		return nil
-	}
-	own := all[:0]
-	for _, e := range all {
-		if !w.seeded[e.Key] {
-			own = append(own, e)
-		}
-	}
-	return own
-}
-
-// runJob executes one assignment and streams the outcome: the canonical
-// report stream, then the completion manifest.
-func (w *workerState) runJob(ctx context.Context, id int, j campaign.Job, parallelism int) {
-	rm, reports := campaign.ExecuteJob(ctx, j, parallelism, w.sol, core.Observer{})
+// runJob executes one assignment on sol and streams the outcome: the
+// canonical report stream, then the completion manifest.
+func runJob(ctx context.Context, w *wire, sol *solver.Solver, id int, j campaign.Job, parallelism int) {
+	rm, reports := campaign.ExecuteJob(ctx, j, parallelism, sol, core.Observer{})
 	for i := range reports {
-		if err := w.send(message{Type: msgReport, ID: id, Report: &reports[i]}); err != nil {
+		if err := w.write(message{Type: msgReport, ID: id, Report: &reports[i]}); err != nil {
 			return // pipe gone; the coordinator has already requeued us
 		}
 	}
-	w.send(message{Type: msgDone, ID: id, Run: &rm})
+	w.write(message{Type: msgDone, ID: id, Run: &rm})
 }

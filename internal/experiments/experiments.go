@@ -12,8 +12,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sort"
@@ -624,34 +622,27 @@ func (c *CampaignScaling) Render() string {
 	return b.String()
 }
 
-// IncrementalCampaign is the cold-vs-warm fleet audit study: the whole
-// catalog audited three times — cold (fresh solver, no baseline), with only
-// the persisted solver cache warm (a forced full re-run), and fully
-// incremental (baseline reuse + warm cache). The incremental row is the
+// IncrementalCampaign is the cold-vs-incremental fleet audit study: the
+// whole catalog audited twice — cold (fresh solver, no baseline), then
+// incremental (the cold bundle as baseline). The incremental row is the
 // paper's continuous-audit steady state: an unchanged fleet re-audits for
 // the price of recomputing input fingerprints.
 type IncrementalCampaign struct {
-	Targets      int
-	TotalJobs    int
-	Jobs         int // the -j budget used for every run
-	CacheEntries int // solver verdicts persisted between the runs
+	Targets   int
+	TotalJobs int
+	Jobs      int // the -j budget used for every run
 
 	ColdWall        time.Duration
-	WarmCacheWall   time.Duration // full re-run, persisted solver cache loaded
-	IncrementalWall time.Duration // baseline reuse + warm cache
+	IncrementalWall time.Duration // baseline reuse
 	CachedJobs      int           // jobs reused verbatim in the incremental run
 }
 
-// RunIncrementalCampaign measures the three runs over targets (nil = whole
-// catalog) and verifies every bundle is identical to the cold one — reuse
-// must never change an answer. The solver cache round-trips through a real
-// file, exactly as `achilles-audit run -cache` does.
+// RunIncrementalCampaign measures the two runs over targets (nil = whole
+// catalog) and verifies the incremental bundle is identical to the cold one
+// — reuse must never change an answer.
 func RunIncrementalCampaign(targets []string, jobs int) (*IncrementalCampaign, error) {
-	opts := func(sol *solver.Solver) campaign.Options {
-		return campaign.Options{Targets: targets, Jobs: jobs, Solver: sol}
-	}
-	coldSol := solver.Default()
-	cold, err := campaign.Run(opts(coldSol))
+	opts := campaign.Options{Targets: targets, Jobs: jobs}
+	cold, err := campaign.Run(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -660,16 +651,6 @@ func RunIncrementalCampaign(targets []string, jobs int) (*IncrementalCampaign, e
 			return nil, fmt.Errorf("experiments: cold campaign job %s: %s", rm.Key(), rm.Error)
 		}
 	}
-	dir, err := os.MkdirTemp("", "achilles-incremental-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	cacheFile := filepath.Join(dir, "solver-cache.jsonl")
-	if err := coldSol.SaveCache(cacheFile); err != nil {
-		return nil, err
-	}
-
 	out := &IncrementalCampaign{
 		Targets:   len(targets),
 		TotalJobs: len(cold.Manifest.Runs),
@@ -680,28 +661,8 @@ func RunIncrementalCampaign(targets []string, jobs int) (*IncrementalCampaign, e
 		out.Targets = len(cold.Manifest.Runs)
 	}
 
-	// Forced full re-run with only the solver cache warm.
-	warmSol := solver.Default()
-	if out.CacheEntries, err = warmSol.LoadCache(cacheFile); err != nil {
-		return nil, err
-	}
-	warm, err := campaign.Run(opts(warmSol))
-	if err != nil {
-		return nil, err
-	}
-	if d := campaign.Diff(cold, warm); !d.Empty() {
-		return nil, fmt.Errorf("experiments: warm-cache campaign changed the bundle:\n%s", d.Render())
-	}
-	out.WarmCacheWall = time.Duration(warm.Manifest.WallMS) * time.Millisecond
-
-	// Fully incremental: baseline reuse + warm cache.
-	incSol := solver.Default()
-	if _, err := incSol.LoadCache(cacheFile); err != nil {
-		return nil, err
-	}
-	incOpts := opts(incSol)
-	incOpts.Baseline = cold
-	inc, err := campaign.Run(incOpts)
+	opts.Baseline = cold
+	inc, err := campaign.Run(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -713,7 +674,7 @@ func RunIncrementalCampaign(targets []string, jobs int) (*IncrementalCampaign, e
 	return out, nil
 }
 
-// Render prints the cold/warm table.
+// Render prints the cold/incremental table.
 func (ic *IncrementalCampaign) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Incremental fleet audit (%d jobs, -j %d): identical bundle on every row\n",
@@ -727,10 +688,8 @@ func (ic *IncrementalCampaign) Render() string {
 		fmt.Fprintf(&b, "  %-28s %12s %10d %9.1f%%\n", name, wall.Round(time.Millisecond), jobsRun, pctCold)
 	}
 	row("cold", ic.ColdWall, ic.TotalJobs)
-	row("warm solver cache", ic.WarmCacheWall, ic.TotalJobs)
 	row("incremental (-baseline)", ic.IncrementalWall, ic.TotalJobs-ic.CachedJobs)
-	fmt.Fprintf(&b, "  persisted solver verdicts: %d; jobs reused verbatim: %d/%d\n",
-		ic.CacheEntries, ic.CachedJobs, ic.TotalJobs)
+	fmt.Fprintf(&b, "  jobs reused verbatim: %d/%d\n", ic.CachedJobs, ic.TotalJobs)
 	return b.String()
 }
 

@@ -51,8 +51,7 @@ type CampaignOptions struct {
 	MaxStates int
 	MaxSteps  int
 	// Solver is the shared solver for every job; nil creates a default one
-	// (see campaign.Options.Solver). Passing one lets drivers wire the
-	// persistent verdict cache through a mutation campaign.
+	// (see campaign.Options.Solver).
 	Solver *solver.Solver
 }
 

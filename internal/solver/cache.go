@@ -1,10 +1,7 @@
 package solver
 
 import (
-	"maps"
-	"slices"
-	"sort"
-	"strings"
+	"encoding/binary"
 	"sync"
 
 	"achilles/internal/expr"
@@ -12,14 +9,10 @@ import (
 
 // verdict is one cached Check outcome. The model is shared: the entry and
 // every hit return the same map, so callers must treat a returned model as
-// read-only. loaded marks entries restored from a persisted cache file: they
-// are re-verified against the live query on first hit (see Solver.Check)
-// before being trusted, because the file contents are outside the process's
-// control.
+// read-only.
 type verdict struct {
-	res    Result
-	model  expr.Env
-	loaded bool
+	res   Result
+	model expr.Env
 }
 
 // flight is one solve of a key in progress. Queries that miss the key while
@@ -34,6 +27,12 @@ type flight struct {
 
 // verdictCache is the formula→verdict memo and its in-flight table, both
 // under one mutex. The entry cap bounds memory on long runs.
+//
+// A key is the sorted multiset of the query's top-level intern-entry IDs
+// (appendIDKey). Entries are canonical, so reordered but structurally
+// identical queries share one key, and two distinct entries never share an
+// ID, so a hit can never alias two different formulas. IDs are per solver:
+// keys mean nothing to another solver or process, and none leaves this one.
 type verdictCache struct {
 	mu      sync.Mutex
 	m       map[string]verdict
@@ -45,133 +44,69 @@ func newVerdictCache(limit int) *verdictCache {
 	return &verdictCache{m: map[string]verdict{}, flights: map[string]*flight{}, limit: limit}
 }
 
-// queryKey canonicalises a conjunction: per-constraint renderings are sorted
-// so that reordered but semantically identical queries share one entry. The
-// key is the full rendering (not a hash), so a hit can never alias two
-// different formulas — cached verdicts stay sound.
-func queryKey(constraints []*expr.Expr) string {
-	parts := make([]string, len(constraints))
-	n := 0
-	for i, c := range constraints {
-		parts[i] = c.String()
-		n += len(parts[i]) + 1
-	}
-	sort.Strings(parts)
-	var b strings.Builder
-	b.Grow(n)
-	for _, p := range parts {
-		b.WriteString(p)
-		b.WriteByte(0)
-	}
-	return b.String()
-}
-
-// queryKeySortedMerge assembles the queryKey key for the multiset union of
-// two individually sorted render lists — a linear merge instead of a full
-// re-sort. Both inputs must already be sorted. Every query's key is built
-// here (Prefix.key).
-func queryKeySortedMerge(a, b []string) string {
-	n := 0
-	for _, p := range a {
-		n += len(p) + 1
-	}
-	for _, p := range b {
-		n += len(p) + 1
-	}
-	var sb strings.Builder
-	sb.Grow(n)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			sb.WriteString(a[i])
+// appendIDKey appends the cache key of the multiset union of two sorted
+// ID lists to buf: one linear merge, each ID delta-encoded against the one
+// before it as a uvarint. Duplicates are kept (a zero delta), so the key
+// names the multiset exactly, as the feasible memo's atomSetKey names a set.
+func appendIDKey(buf []byte, a, b []uint64) []byte {
+	var last uint64
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		var id uint64
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			id = a[i]
 			i++
 		} else {
-			sb.WriteString(b[j])
+			id = b[j]
 			j++
 		}
-		sb.WriteByte(0)
+		buf = binary.AppendUvarint(buf, id-last)
+		last = id
 	}
-	for ; i < len(a); i++ {
-		sb.WriteString(a[i])
-		sb.WriteByte(0)
-	}
-	for ; j < len(b); j++ {
-		sb.WriteString(b[j])
-		sb.WriteByte(0)
-	}
-	return sb.String()
+	return buf
 }
 
 // claim looks key up. A cached verdict is returned with ok set. Otherwise
 // the flight solving key is returned, with lead set when this call opened
 // it: the leader must end its flight with put or withdraw, every other
-// caller waits on its done channel.
-func (c *verdictCache) claim(key string) (v verdict, ok bool, f *flight, lead bool) {
+// caller waits on its done channel. A hit allocates nothing: the lookups
+// read key in place.
+func (c *verdictCache) claim(key []byte) (v verdict, ok bool, f *flight, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok = c.m[key]; ok {
+	if v, ok = c.m[string(key)]; ok {
 		return v, true, nil, false
 	}
-	if f = c.flights[key]; f != nil {
+	if f = c.flights[string(key)]; f != nil {
 		return v, false, f, false
 	}
 	f = &flight{done: make(chan struct{})}
-	c.flights[key] = f
+	c.flights[string(key)] = f
 	return v, false, f, true
 }
 
-// put stores v under key. f is the caller's flight for key, or nil when it
-// leads none; put ends it and hands v to its waiters.
-func (c *verdictCache) put(key string, v verdict, f *flight) {
+// put stores v under key and ends f, the caller's flight for key, handing v
+// to its waiters.
+func (c *verdictCache) put(key []byte, v verdict, f *flight) {
+	k := string(key)
 	c.mu.Lock()
-	if _, exists := c.m[key]; !exists && len(c.m) >= c.limit {
-		for k := range c.m { // evict one arbitrary entry
-			delete(c.m, k)
+	if _, exists := c.m[k]; !exists && len(c.m) >= c.limit {
+		for old := range c.m { // evict one arbitrary entry
+			delete(c.m, old)
 			break
 		}
 	}
-	c.m[key] = v
-	if f != nil {
-		delete(c.flights, key)
-		f.v, f.settled = v, true
-	}
-	c.mu.Unlock()
-	if f != nil {
-		close(f.done)
-	}
-}
-
-// withdraw ends a flight without a verdict; its waiters claim the key again
-// and one of them solves it.
-func (c *verdictCache) withdraw(key string, f *flight) {
-	c.mu.Lock()
-	delete(c.flights, key)
+	c.m[k] = v
+	delete(c.flights, k)
+	f.v, f.settled = v, true
 	c.mu.Unlock()
 	close(f.done)
 }
 
-// putIfAbsent inserts a loaded entry without evicting solved ones: persisted
-// verdicts must never displace entries the live process has already proven.
-// It reports whether the entry was stored.
-func (c *verdictCache) putIfAbsent(key string, v verdict) bool {
+// withdraw ends a flight without a verdict; its waiters claim the key again
+// and one of them solves it.
+func (c *verdictCache) withdraw(key []byte, f *flight) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.m[key]; exists || len(c.m) >= c.limit {
-		return false
-	}
-	c.m[key] = v
-	return true
-}
-
-// snapshot copies every cached entry, sorted by key, for persistence.
-func (c *verdictCache) snapshot() (keys []string, verdicts []verdict) {
-	c.mu.Lock()
-	m := maps.Clone(c.m)
+	delete(c.flights, string(key))
 	c.mu.Unlock()
-	keys = slices.Sorted(maps.Keys(m))
-	verdicts = make([]verdict, len(keys))
-	for i, k := range keys {
-		verdicts[i] = m[k]
-	}
-	return keys, verdicts
+	close(f.done)
 }

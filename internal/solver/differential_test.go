@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -100,9 +101,10 @@ func TestSolverDifferential(t *testing.T) {
 // slice, and Prefix.Implies may only ever short-circuit to the solver's own
 // verdict. Each prefix shape — one final condition, and the suffix after a
 // random cut — runs on its own solver, so neither answers from the other's
-// cache, and each solver's exported cache keys must be exactly queryKey of
-// the formulas it was asked: cache files written before keys were built
-// from prefixes keep hitting.
+// cache, and each solver must hold exactly one cache entry per distinct
+// formula asked, counted by the rendered reference QueryKey: an ID key
+// never splits a multiset the rendering names once, whichever way the
+// prefix was cut, and every key decodes back to a formula asked.
 func TestSolverDifferentialPrefix(t *testing.T) {
 	n := 4000
 	if testing.Short() {
@@ -150,6 +152,18 @@ func TestSolverDifferentialPrefix(t *testing.T) {
 		if allRes == solver.Sat && !maps.Equal(allModel, refModel) {
 			t.Fatalf("prefix-all model divergence on %v (cut %d): prefix-all = %v, reference = %v", f, cut, allModel, refModel)
 		}
+		// The same formula reversed and cut at the mirror point: a key that
+		// depends on constraint order or on where the prefix ends would add
+		// a second entry for it, and the count below would catch that.
+		rev := slices.Clone(f)
+		slices.Reverse(rev)
+		rp := multi.NewPrefix()
+		for _, c := range rev[:len(f)-cut] {
+			rp = rp.Extend(c)
+		}
+		if revRes, _ := multi.CheckPrefixCtx(ctx, rp, rev[len(f)-cut:]...); revRes != refRes {
+			t.Fatalf("reversed prefix verdict divergence on %v (cut %d): %v, reference = %v", f, len(f)-cut, revRes, refRes)
+		}
 
 		// Implies may only answer when it matches the full solve's verdict.
 		if holds, ok := p.Implies(cond); ok {
@@ -160,16 +174,16 @@ func TestSolverDifferentialPrefix(t *testing.T) {
 		}
 	}
 	for name, s := range map[string]*solver.Solver{"single-condition": single, "multi-condition": multi} {
-		entries, err := s.ExportCache()
+		if n := solver.CacheLen(s); n != len(asked) {
+			t.Errorf("%s prefixes: %d cache entries for %d distinct formulas", name, n, len(asked))
+		}
+		entries, err := solver.CachedQueries(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) != len(asked) {
-			t.Errorf("%s prefixes: exported %d cache keys for %d distinct formulas", name, len(entries), len(asked))
-		}
 		for _, e := range entries {
-			if !asked[e.Key] {
-				t.Fatalf("%s prefixes: exported key %q is not queryKey of any formula asked", name, e.Key)
+			if !asked[solver.QueryKey(e.Constraints)] {
+				t.Fatalf("%s prefixes: a cache key decodes to %v, which is no formula asked", name, e.Constraints)
 			}
 		}
 	}

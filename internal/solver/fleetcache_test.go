@@ -1,11 +1,11 @@
 package solver_test
 
-// The persisted-cache round trip at fleet scale: the verdicts a real audit
-// leaves behind, saved and reloaded by a fresh solver, must all survive
-// re-verification — a faithful file may never be reported as contradicted.
+// The verdict cache at fleet scale: every verdict a real audit leaves
+// behind, decoded from its intern-ID key back into the query it names, must
+// re-verify, and a second audit on the warm solver must agree with the
+// first.
 
 import (
-	"path/filepath"
 	"testing"
 
 	"achilles/internal/campaign"
@@ -19,29 +19,41 @@ func TestFleetCacheRoundTripReverifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "fleet.jsonl")
-	if err := warm.SaveCache(path); err != nil {
+	entries, err := solver.CachedQueries(warm)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatal("the fleet audit left no verdicts in the cache")
 	}
 
-	cold := solver.Default()
-	loaded, err := cold.LoadCache(path)
+	// Each key decodes to one formula no other key names, and the verdict
+	// stored under it holds: a Sat model satisfies the decoded query, and
+	// an uncached solver proves every other verdict again from scratch.
+	cold := solver.New(solver.Options{DisableCache: true})
+	seen := make(map[string]bool, len(entries))
+	for _, q := range entries {
+		k := solver.QueryKey(q.Constraints)
+		if seen[k] {
+			t.Fatalf("two cache keys name the formula %v", q.Constraints)
+		}
+		seen[k] = true
+		if q.Res == solver.Sat {
+			verifyModel(t, q.Constraints, q.Model)
+			continue
+		}
+		if res, _ := cold.Check(q.Constraints); res != q.Res {
+			t.Fatalf("cached %v verdict for %v, a cold solve gives %v", q.Res, q.Constraints, res)
+		}
+	}
+
+	before := warm.Stats()
+	second, err := campaign.Run(campaign.Options{Jobs: 2, Solver: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded == 0 {
-		t.Fatal("the fleet audit left no verdicts to persist")
-	}
-	second, err := campaign.Run(campaign.Options{Jobs: 2, Solver: cold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := cold.Stats()
-	if st.ReverifyFailed != 0 {
-		t.Fatalf("%d of %d loaded verdicts failed re-verification on a faithful file: %+v", st.ReverifyFailed, loaded, st)
-	}
-	if st.Reverified == 0 || st.CacheHits == 0 {
-		t.Fatalf("the reloaded cache was never consulted: %+v", st)
+	if st := warm.Stats(); st.CacheHits == before.CacheHits {
+		t.Fatalf("the warm cache was never consulted: %+v", st)
 	}
 	h1, err := first.ContentHash()
 	if err != nil {

@@ -2,19 +2,18 @@ package solver
 
 // Hash-consed expression interning. Every expression the solver touches is
 // resolved to a per-solver internEntry exactly once; the entry caches the
-// three derived forms the hot path used to recompute per query:
+// derived forms the hot path used to recompute per query:
 //
-//   - the canonical rendering (the unit of queryKey — the verdict-cache and
-//     persisted-cache key format is unchanged, it is now assembled from
-//     cached strings instead of re-rendered trees);
 //   - the linearisation (linAtom or "outside the fragment");
 //   - the sorted variable list (the unit of conjState's variable table).
 //
-// Entries also carry a stable per-solver ID. IDs order by first-intern time,
-// which is scheduling-dependent under concurrent analysis workers — they are
-// therefore never persisted and never compared across solvers; their only
-// use is as set-membership keys of the split-gate feasible memo, which are
-// order-insensitive. Prefix subsumption compares the entries themselves.
+// Entries also carry a stable per-solver ID, the unit of every query key:
+// the verdict cache keys a query by the multiset of its constraints' IDs and
+// the split-gate feasible memo a conjunction by the set of its atoms' IDs.
+// IDs order by first-intern time, which is scheduling-dependent under
+// concurrent analysis workers, so both keys are built from sorted IDs and
+// never leave the solver. Prefix subsumption compares the entries
+// themselves.
 //
 // Unification is structural: hash buckets resolved with expr.Equal are the
 // only source of truth, so two structurally equal trees always map to one
@@ -24,10 +23,10 @@ package solver
 // pointer it holds alive, and every job on a long-lived solver (a daemon's,
 // a campaign's) builds fresh trees, so the memo is cleared once it has taken
 // memoCap new entries. A reset costs time only: a cleared pointer re-resolves
-// through the hash buckets to the same entry — same ID, rendering,
-// linearisation and ckeyID — so no verdict, model, cache key or feasible-memo
-// key can change. A scoped solver (Solver.Scoped) resolves through the same
-// buckets with a memo of its own, which goes when the scoped solver does.
+// through the hash buckets to the same entry — same ID, linearisation and
+// ckeyID — so no verdict, model, cache key or feasible-memo key can change.
+// A scoped solver (Solver.Scoped) resolves through the same buckets with a
+// memo of its own, which goes when the scoped solver does.
 
 import (
 	"slices"
@@ -46,12 +45,11 @@ const memoCap = 1 << 14
 // distinct expression. Immutable after construction, except that neg is
 // filled in on first use.
 type internEntry struct {
-	id     uint64
-	e      *expr.Expr
-	render string                      // e.String(), computed once
-	la     *linAtom                    // linearisation; nil when e is outside the linear fragment
-	vars   []string                    // sorted variable names of e
-	neg    atomic.Pointer[internEntry] // entry of expr.Not(e); see negation
+	id   uint64
+	e    *expr.Expr
+	la   *linAtom                    // linearisation; nil when e is outside the linear fragment
+	vars []string                    // sorted variable names of e
+	neg  atomic.Pointer[internEntry] // entry of expr.Not(e); see negation
 }
 
 // internArena unifies expressions for one Solver. Safe for concurrent use:
@@ -105,7 +103,7 @@ func (a *internArena) intern(e *expr.Expr) *internEntry {
 			return en
 		}
 	}
-	en := &internEntry{id: a.nextID, e: e, render: e.String()}
+	en := &internEntry{id: a.nextID, e: e}
 	a.nextID++
 	en.la, _ = linearise(e)
 	if en.la != nil && en.la.ckey != "" {
@@ -156,13 +154,12 @@ func (a *internArena) size() int {
 	return int(a.nextID)
 }
 
-// internAll interns a constraint slice in order.
-func (s *Solver) internAll(constraints []*expr.Expr) []*internEntry {
-	out := make([]*internEntry, len(constraints))
-	for i, c := range constraints {
-		out[i] = s.arena.intern(c)
+// appendInterned appends the entries of constraints, in order, to dst.
+func (s *Solver) appendInterned(dst []*internEntry, constraints []*expr.Expr) []*internEntry {
+	for _, c := range constraints {
+		dst = append(dst, s.arena.intern(c))
 	}
-	return out
+	return dst
 }
 
 // varTable returns the sorted, duplicate-free union of the entries'

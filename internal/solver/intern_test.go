@@ -44,7 +44,7 @@ func askMemo(s *Solver, qs [][]*expr.Expr) []memoOutcome {
 	for i, q := range qs {
 		o := &out[i]
 		o.res, o.model = s.Check(q)
-		o.key = emptyPrefix.key(s.internAll(q))
+		o.key = string(emptyPrefix.appendKey(nil, s.appendInterned(nil, q)))
 		p := s.NewPrefix().Extend(q[0])
 		o.prefixRes, o.prefixModel = s.CheckPrefixCtx(context.Background(), p, q[1:]...)
 		o.holds, o.decided = p.Implies(q[len(q)-1])
@@ -69,7 +69,7 @@ func sameOutcomes(got, want []memoOutcome) error {
 func entryIDs(s *Solver, qs [][]*expr.Expr) []uint64 {
 	var ids []uint64
 	for _, q := range qs {
-		for _, en := range s.internAll(q) {
+		for _, en := range s.appendInterned(nil, q) {
 			ids = append(ids, en.id)
 		}
 	}

@@ -25,12 +25,9 @@ package solver
 //     refutation is always re-derived by the same budget-free layer, and no
 //     verdict, model or budget count can move;
 //   - keys are sorted, deduplicated ID sets: order-variants of one
-//     conjunction alias deliberately, mirroring the sorted renderings the
-//     verdict cache keys on.
-//
-// The memo is in-memory only. It is never persisted — IDs are per-solver and
-// scheduling-dependent — so a solver.Version bump can never replay a stale
-// entry from disk (see persist.go for the cache-file gate).
+//     conjunction alias deliberately, as they do in the verdict cache, whose
+//     keys are the sorted ID multisets of whole queries. Like those keys,
+//     they are per solver and never leave it.
 
 import (
 	"encoding/binary"

@@ -6,8 +6,8 @@ package solver
 // assumption handle that carries the path's query form forward instead of
 // rebuilding it per query:
 //
-//   - the interned top-level constraints and their renderings, kept sorted,
-//     so a query's cache key is one linear merge with its extra renderings;
+//   - the intern-entry IDs of the top-level constraints, kept sorted, so a
+//     query's cache key is one linear merge with its extra conditions' IDs;
 //   - the flattened form of the path (conjunctive atoms and disjunctions),
 //     extended incrementally, so a query only flattens its extra conditions.
 //     The conjunctive atoms also give the engine a syntactic subsumption
@@ -45,7 +45,6 @@ package solver
 
 import (
 	"slices"
-	"sort"
 
 	"achilles/internal/expr"
 )
@@ -54,11 +53,10 @@ import (
 // Obtain one from Solver.NewPrefix; a nil *Prefix is the empty path to
 // CheckPrefixCtx.
 type Prefix struct {
-	s       *Solver
-	raw     []*internEntry // top-level constraints, in append order
-	renders []string       // raw entries' renderings, kept sorted for cache keys
-	conj    []*internEntry // flattened conjunctive atoms
-	disj    []*internEntry // flattened disjunctions
+	s    *Solver
+	ids  []uint64       // top-level constraints' entry IDs, sorted, duplicates kept
+	conj []*internEntry // flattened conjunctive atoms
+	disj []*internEntry // flattened disjunctions
 	// refuted marks a prefix containing a literal false constraint: every
 	// check answers Unsat, exactly as flattening the full constraint slice
 	// would.
@@ -83,8 +81,7 @@ func (p *Prefix) Extend(cond *expr.Expr) *Prefix {
 	en := s.arena.intern(cond)
 	np := &Prefix{
 		s:       s,
-		raw:     append(append(make([]*internEntry, 0, len(p.raw)+1), p.raw...), en),
-		renders: insertSorted(p.renders, en.render),
+		ids:     insertSorted(p.ids, en.id),
 		conj:    append(make([]*internEntry, 0, len(p.conj)+1), p.conj...),
 		disj:    append([]*internEntry{}, p.disj...),
 		refuted: p.refuted,
@@ -95,22 +92,14 @@ func (p *Prefix) Extend(cond *expr.Expr) *Prefix {
 	return np
 }
 
-// insertSorted returns a fresh slice with s inserted into sorted at its
+// insertSorted returns a fresh slice with id inserted into sorted at its
 // sorted position. The input is never mutated (prefixes are immutable).
-func insertSorted(sorted []string, s string) []string {
-	idx := sort.SearchStrings(sorted, s)
-	out := make([]string, 0, len(sorted)+1)
+func insertSorted(sorted []uint64, id uint64) []uint64 {
+	idx, _ := slices.BinarySearch(sorted, id)
+	out := make([]uint64, 0, len(sorted)+1)
 	out = append(out, sorted[:idx]...)
-	out = append(out, s)
+	out = append(out, id)
 	return append(out, sorted[idx:]...)
-}
-
-// Len reports the number of constraints in the prefix.
-func (p *Prefix) Len() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.raw)
 }
 
 // Implies reports whether the prefix syntactically decides cond: (true, ok)
@@ -139,29 +128,14 @@ func (p *Prefix) Implies(cond *expr.Expr) (holds, ok bool) {
 	return false, false
 }
 
-// key is the verdict-cache key of the prefix extended by ens: the sorted
-// renderings of the whole conjunction, byte-identical to queryKey over the
-// materialised constraint slice, so in-memory and persisted caches keep
-// their format.
-func (p *Prefix) key(ens []*internEntry) string {
-	renders := make([]string, len(ens))
-	for i, en := range ens {
-		renders[i] = en.render
-	}
-	slices.Sort(renders)
-	return queryKeySortedMerge(p.renders, renders)
-}
-
-// constraints materialises the query of the prefix extended by ens — the
-// original expressions, consulted only when a loaded Sat model must be
-// re-evaluated.
-func (p *Prefix) constraints(ens []*internEntry) []*expr.Expr {
-	exprs := make([]*expr.Expr, 0, len(p.raw)+len(ens))
-	for _, en := range p.raw {
-		exprs = append(exprs, en.e)
-	}
+// appendKey appends the verdict-cache key of the prefix extended by ens to
+// buf (see verdictCache).
+func (p *Prefix) appendKey(buf []byte, ens []*internEntry) []byte {
+	var small [64]uint64
+	ids := small[:0]
 	for _, en := range ens {
-		exprs = append(exprs, en.e)
+		ids = append(ids, en.id)
 	}
-	return exprs
+	slices.Sort(ids)
+	return appendIDKey(buf, p.ids, ids)
 }

@@ -36,7 +36,6 @@ package solver
 
 import (
 	"context"
-	"maps"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -44,20 +43,17 @@ import (
 	"achilles/internal/expr"
 )
 
-// Version identifies the decision-procedure revision. It is stamped into
-// persisted verdict caches and folded into audit input fingerprints: bump it
-// whenever a change can alter a verdict (fragment semantics, enumeration
-// policy, Unknown treatment), so stale on-disk caches are discarded at load
-// instead of replaying verdicts this solver would no longer produce.
+// Version identifies the decision-procedure revision. It is folded into
+// every audit input fingerprint, and with it into every bundle's
+// ContentHash: bump it whenever a change can alter a verdict or a model
+// (fragment semantics, enumeration policy, Unknown treatment), so campaign
+// baselines computed by the old procedure are re-run instead of reused.
 //
 // solver/2: interned expressions, the split-gate feasible memo and
-// incremental prefix handles (see intern.go, learn.go, prefix.go). The
-// decision procedure is designed to be verdict- and model-preserving, but
-// the fast path introduces cross-query state that the solver/1 revision did
-// not have, so caches written by solver/1 are refused rather than replayed.
-// A change that moves only work counters, never a verdict, model or cache
-// key, keeps the revision: it is folded into every input fingerprint, and
-// with it into every bundle's ContentHash.
+// incremental prefix handles (see intern.go, learn.go, prefix.go). The fast
+// path is verdict- and model-preserving; the bump marked the cross-query
+// state it introduced. A change that moves only work counters or how a
+// cache key is spelled, never a verdict or a model, keeps the revision.
 const Version = "solver/2"
 
 // Result is the outcome of a satisfiability check.
@@ -97,13 +93,6 @@ type Stats struct {
 	CacheHits    int // queries answered from the verdict cache
 	CacheMisses  int // queries that had to be solved
 
-	// Reverified counts loaded (persisted) verdicts confirmed against the
-	// live query — Sat models re-evaluated, sampled Unsat/Unknown verdicts
-	// re-solved. ReverifyFailed counts loaded verdicts the live check
-	// contradicted; they are replaced, never served.
-	Reverified     int
-	ReverifyFailed int
-
 	// Fast-path counters (see intern.go, learn.go): Interned is the number
 	// of structurally distinct expressions in the arena, FeasibleHits the
 	// number of split-node feasibility gates answered "not refuted" from
@@ -128,21 +117,16 @@ type Stats struct {
 
 // counters is the internal, concurrency-safe representation of Stats.
 type counters struct {
-	queries        atomic.Int64
-	decisions      atomic.Int64
-	propagations   atomic.Int64
-	splits         atomic.Int64
-	verified       atomic.Int64
-	unknowns       atomic.Int64
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	reverified     atomic.Int64
-	reverifyFailed atomic.Int64
-	feasibleHits   atomic.Int64
-	roundCaps      atomic.Int64
-	// loadedProbe counts loaded Unsat/Unknown hits, for sampling; it is
-	// not reported.
-	loadedProbe atomic.Int64
+	queries      atomic.Int64
+	decisions    atomic.Int64
+	propagations atomic.Int64
+	splits       atomic.Int64
+	verified     atomic.Int64
+	unknowns     atomic.Int64
+	cacheHits    atomic.Int64
+	cacheMisses  atomic.Int64
+	feasibleHits atomic.Int64
+	roundCaps    atomic.Int64
 }
 
 // Options configure a Solver.
@@ -217,9 +201,6 @@ func (s *Solver) Stats() Stats {
 		CacheHits:    int(s.stats.cacheHits.Load()),
 		CacheMisses:  int(s.stats.cacheMisses.Load()),
 
-		Reverified:     int(s.stats.reverified.Load()),
-		ReverifyFailed: int(s.stats.reverifyFailed.Load()),
-
 		Interned:     s.arena.size(),
 		FeasibleHits: int(s.stats.feasibleHits.Load()),
 		MemoResets:   int(s.arena.resets.Load()),
@@ -237,8 +218,6 @@ func (s *Solver) ResetStats() {
 	s.stats.unknowns.Store(0)
 	s.stats.cacheHits.Store(0)
 	s.stats.cacheMisses.Store(0)
-	s.stats.reverified.Store(0)
-	s.stats.reverifyFailed.Store(0)
 	s.stats.feasibleHits.Store(0)
 	s.stats.roundCaps.Store(0)
 	s.arena.resets.Store(0)
@@ -252,13 +231,8 @@ const satLimit = int64(1) << 62
 // Check decides the conjunction of the given constraints. On Sat, the
 // returned model assigns every variable occurring in the constraints and has
 // been verified by evaluation. The model is the verdict cache's own copy,
-// shared with every later query of the same key: treat it as read-only.
-//
-// Entries restored by LoadCache are not served blindly: a loaded Sat verdict
-// is re-verified by evaluating the live query under its stored model, and a
-// deterministic 1-in-reverifySample of loaded Unsat/Unknown verdicts is
-// re-solved and compared. A loaded verdict the live check contradicts is
-// replaced and counted in Stats.ReverifyFailed.
+// shared with every later query of the same constraint multiset, in any
+// order: treat it as read-only.
 func (s *Solver) Check(constraints []*expr.Expr) (Result, expr.Env) {
 	return s.CheckCtx(context.Background(), constraints)
 }
@@ -277,11 +251,12 @@ func (s *Solver) CheckCtx(ctx context.Context, constraints []*expr.Expr) (Result
 
 // CheckPrefixCtx decides the conjunction of the prefix's constraints and
 // conds; a nil p is the empty path. Every query runs through it: the cache
-// protocol (stats, key lookup, single flight, loaded-entry
-// re-verification, the cancellation guard, memoisation) wraps one solve of
-// the prefix's flattened form extended by conds. The answer, the cache key
-// and the cached entry are those of CheckCtx over the materialised
-// constraint slice.
+// protocol (stats, key lookup, single flight, the cancellation guard,
+// memoisation) wraps one solve of the prefix's flattened form extended by
+// conds. The answer, the cache key and the cached entry are those of
+// CheckCtx over the materialised constraint slice: the key is the sorted
+// multiset of the constraints' intern IDs (see verdictCache), built by one
+// merge of the prefix's sorted IDs with conds'.
 //
 // Each key is solved once per process. A query that misses a key another
 // goroutine is solving waits for that verdict and counts as a cache hit;
@@ -296,116 +271,48 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 		p = emptyPrefix
 	}
 	s.stats.queries.Add(1)
-	ens := s.internAll(conds)
-	var key string
-	var loaded *verdict
-	var lead *flight
-	if s.cache != nil {
-		key = p.key(ens)
-	claim:
-		for {
-			ent, ok, f, leader := s.cache.claim(key)
-			switch {
-			case ok:
-				if !ent.loaded || s.trustLoaded(key, ent, p.constraints(ens)) {
-					s.stats.cacheHits.Add(1)
-					return ent.res, ent.model
-				}
-				loaded = &ent // distrusted: re-solve and compare below
-				break claim
-			case leader:
-				lead = f
-				break claim
+	// The entries and the key live on the stack unless a query outgrows
+	// them, so a cache hit allocates nothing.
+	var small [32]*internEntry
+	ens := s.appendInterned(small[:0], conds)
+	if s.cache == nil {
+		return s.check(ctx, p, ens)
+	}
+	var buf [256]byte
+	key := p.appendKey(buf[:0], ens)
+	for {
+		ent, ok, f, leader := s.cache.claim(key)
+		switch {
+		case ok:
+			s.stats.cacheHits.Add(1)
+			return ent.res, ent.model
+		case leader:
+			s.stats.cacheMisses.Add(1)
+			res, model := s.check(ctx, p, ens)
+			if ctx.Err() != nil && res == Unknown {
+				// Aborted mid-search: the Unknown reflects the cancellation,
+				// not the query. Report it, but do not cache it.
+				s.cache.withdraw(key, f)
+			} else {
+				s.cache.put(key, verdict{res: res, model: model}, f)
 			}
-			// Another query is solving the key: its verdict answers this
-			// one as a hit. A flight withdrawn by a cancelled leader sends
-			// the waiters back to claim, and one of them solves the key.
-			select {
-			case <-f.done:
-				if f.settled {
-					s.stats.cacheHits.Add(1)
-					return f.v.res, f.v.model
-				}
-			case <-ctx.Done():
-				s.stats.cacheMisses.Add(1)
-				s.stats.unknowns.Add(1)
-				return Unknown, nil
+			return res, model
+		}
+		// Another query is solving the key: its verdict answers this one as
+		// a hit. A flight withdrawn by a cancelled leader sends the waiters
+		// back to claim, and one of them solves the key.
+		select {
+		case <-f.done:
+			if f.settled {
+				s.stats.cacheHits.Add(1)
+				return f.v.res, f.v.model
 			}
-		}
-		s.stats.cacheMisses.Add(1)
-	}
-	res, model := s.check(ctx, p, ens)
-	if ctx.Err() != nil && res == Unknown {
-		// Aborted mid-search: the Unknown reflects the cancellation, not the
-		// query. Report it, but neither cache it nor let it indict a loaded
-		// verdict under re-verification.
-		if lead != nil {
-			s.cache.withdraw(key, lead)
-		}
-		return res, model
-	}
-	if loaded != nil {
-		// A Sat entry only reaches the re-solve path when its stored model
-		// failed evaluation — that is a failure even if the fresh verdict is
-		// Sat again. Unsat/Unknown entries reach it as the re-solve sample
-		// and fail only on a verdict flip.
-		if loaded.res == Sat || loaded.res != res {
-			s.stats.reverifyFailed.Add(1)
-		} else {
-			s.stats.reverified.Add(1)
+		case <-ctx.Done():
+			s.stats.cacheMisses.Add(1)
+			s.stats.unknowns.Add(1)
+			return Unknown, nil
 		}
 	}
-	if s.cache != nil {
-		s.cache.put(key, verdict{res: res, model: model}, lead)
-	}
-	return res, model
-}
-
-// reverifySample is the sampling period for loaded Unsat/Unknown verdicts:
-// the first and every reverifySample-th such hit is re-solved instead of
-// trusted, so a poisoned or stale cache file is noticed early without
-// re-proving the whole file.
-const reverifySample = 16
-
-// trustLoaded decides whether a verdict restored from disk may be served
-// as-is. Sat entries are verified unconditionally by evaluating the query
-// under the stored model — cheap, and it makes a corrupt model harmless (the
-// query just goes back to the solver). Unsat and Unknown entries carry no
-// checkable witness, so a sampled subset is sent back to the solver instead;
-// Check compares the fresh verdict against the loaded one. Trusted entries
-// are promoted to regular entries, paying the verification cost once.
-func (s *Solver) trustLoaded(key string, ent verdict, constraints []*expr.Expr) bool {
-	switch ent.res {
-	case Sat:
-		// Models omit variables that occur only in a disjunct the search
-		// never chose. Binding those to 0 evaluates the live query under a
-		// total assignment, which is as sound a witness as the stored model;
-		// the stored model is still what the hit serves.
-		env := expr.Env{}
-		maps.Copy(env, ent.model)
-		vars := map[string]bool{}
-		for _, c := range constraints {
-			expr.CollectVars(c, vars)
-		}
-		for name := range vars {
-			if _, ok := env[name]; !ok {
-				env[name] = 0
-			}
-		}
-		for _, c := range constraints {
-			v, err := expr.EvalBool(c, env)
-			if err != nil || !v {
-				return false
-			}
-		}
-		s.stats.reverified.Add(1)
-	default:
-		if s.stats.loadedProbe.Add(1)%reverifySample == 1 {
-			return false
-		}
-	}
-	s.cache.put(key, verdict{res: ent.res, model: ent.model}, nil)
-	return true
 }
 
 // check solves the prefix extended by the interned conds without

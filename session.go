@@ -60,7 +60,6 @@ var eventBuffer = 4096
 type config struct {
 	aopts     core.AnalysisOptions
 	maxStates int
-	cachePath string
 	observers []Observer
 }
 
@@ -103,15 +102,6 @@ func WithSolver(s *solver.Solver) Option {
 	return func(c *config) { c.aopts.Solver = s }
 }
 
-// WithSolverCache persists the solver's formula→verdict cache at path: the
-// session loads it before the run (a missing, version-mismatched or corrupt
-// file means a cold start, never an error) and saves it when the run ends —
-// including cancelled runs, whose completed verdicts are still valid. Loaded
-// verdicts are re-verified on first use (see solver.LoadCache).
-func WithSolverCache(path string) Option {
-	return func(c *config) { c.cachePath = path }
-}
-
 // WithObserver attaches callback-style observation to the session, in
 // addition to (and independent of) the Events channel. May be given several
 // times; all observers fire.
@@ -140,10 +130,9 @@ type Session struct {
 	events  chan Event
 	dropped atomic.Int64
 
-	done     chan struct{}
-	res      *RunResult
-	err      error
-	cacheErr error
+	done chan struct{}
+	res  *RunResult
+	err  error
 }
 
 // Start launches both Achilles phases on a target as a cancellable,
@@ -184,18 +173,6 @@ func Start(ctx context.Context, t Target, opts ...Option) (*Session, error) {
 		t.ServerExec.MaxStates = cfg.maxStates
 		t.ClientExec.MaxStates = cfg.maxStates
 	}
-	if cfg.aopts.Solver == nil {
-		cfg.aopts.Solver = solver.Default()
-	}
-	sol := cfg.aopts.Solver
-	if cfg.cachePath != "" {
-		// Best effort: a missing cache file is the normal first run, and a
-		// stale or corrupt one means a cold start (it is replaced on save).
-		// No load outcome may fail Start — the cache is an accelerator, not
-		// an input.
-		_, _ = sol.LoadCache(cfg.cachePath)
-	}
-
 	runCtx, cancel := context.WithCancel(ctx)
 	s := &Session{
 		cancel: cancel,
@@ -238,13 +215,7 @@ func Start(ctx context.Context, t Target, opts ...Option) (*Session, error) {
 
 	go func() {
 		defer cancel()
-		res, err := core.RunCtx(runCtx, t, cfg.aopts)
-		if cfg.cachePath != "" {
-			// Persist even after cancellation: completed verdicts are valid
-			// and make the retry warm.
-			s.cacheErr = sol.SaveCache(cfg.cachePath)
-		}
-		s.res, s.err = res, err
+		s.res, s.err = core.RunCtx(runCtx, t, cfg.aopts)
 		// Every observer callback fires synchronously inside RunCtx, so no
 		// push can race the close.
 		close(s.events)
@@ -284,13 +255,8 @@ func (s *Session) Cancel() { s.cancel() }
 // Wait blocks until the analysis ends and returns its outcome. On
 // cancellation or deadline the error is the context error and the result is
 // the partial one (nil if the cancellation struck before the server phase).
-// When WithSolverCache was set and the run itself succeeded, a cache-save
-// failure is reported here.
 func (s *Session) Wait() (*RunResult, error) {
 	<-s.done
-	if s.err == nil && s.cacheErr != nil {
-		return s.res, s.cacheErr
-	}
 	return s.res, s.err
 }
 

@@ -3,13 +3,13 @@ package achilles_test
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"achilles"
+	"achilles/internal/solver"
 	"achilles/internal/testutil"
 )
 
@@ -210,34 +210,33 @@ func TestSessionMaxStates(t *testing.T) {
 	}
 }
 
-// TestSessionSolverCache: WithSolverCache persists verdicts that warm the
-// next session.
+// TestSessionSolverCache: sessions that share one solver through WithSolver
+// share its verdict cache, so the second session runs warm.
 func TestSessionSolverCache(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "verdicts.jsonl")
+	sol := solver.Default()
 	tgt := sessionTarget(t)
-	s1, err := achilles.Start(context.Background(), tgt,
-		achilles.WithParallelism(2), achilles.WithSolverCache(cache))
-	if err != nil {
-		t.Fatal(err)
+	run := func() (*achilles.RunResult, solver.Stats) {
+		t.Helper()
+		before := sol.Stats()
+		s, err := achilles.Start(context.Background(), tgt,
+			achilles.WithParallelism(2), achilles.WithSolver(sol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := sol.Stats()
+		return res, solver.Stats{CacheHits: after.CacheHits - before.CacheHits, CacheMisses: after.CacheMisses - before.CacheMisses}
 	}
-	cold, err := s1.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := achilles.Start(context.Background(), tgt,
-		achilles.WithParallelism(2), achilles.WithSolverCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := s2.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold, coldSt := run()
+	warm, warmSt := run()
 	if got, want := len(warm.Analysis.Trojans), len(cold.Analysis.Trojans); got != want {
 		t.Fatalf("warm session found %d classes, cold %d", got, want)
 	}
-	if warm.Analysis.SolverStats.CacheHits == 0 {
-		t.Fatal("second session never hit the persisted cache")
+	if warmSt.CacheHits == 0 || warmSt.CacheMisses >= coldSt.CacheMisses {
+		t.Fatalf("second session did not run on the first one's verdicts: cold %+v, warm %+v", coldSt, warmSt)
 	}
 }
 
