@@ -235,6 +235,7 @@ func BenchmarkSymexecFSPServer(b *testing.B) {
 // -j variants demonstrate the wall-clock win over -j 1; the reported class
 // count must not move.
 func benchmarkParallelAnalysis(b *testing.B, jobs int) {
+	b.ReportAllocs()
 	var classes int
 	for i := 0; i < b.N; i++ {
 		run, err := core.Run(fsp.NewRichTarget(false), core.AnalysisOptions{Parallelism: jobs})
@@ -290,8 +291,11 @@ func BenchmarkSolverCacheHit(b *testing.B) {
 
 // BenchmarkWarmSolverFSP re-runs the FSP analysis on one warm solver, the
 // steady state of a long-lived daemon: nearly every query is a verdict-cache
-// hit, so what is left is building each query's key and looking it up.
+// hit, so no query searches, and what is left is the extraction and server
+// walks themselves, resolving each query's freshly built trees to their
+// intern entries, and looking each key up.
 func BenchmarkWarmSolverFSP(b *testing.B) {
+	b.ReportAllocs()
 	s := solver.Default()
 	run := func() {
 		if _, err := core.Run(fsp.NewTarget(false), core.AnalysisOptions{Solver: s}); err != nil {
@@ -333,6 +337,7 @@ func BenchmarkConcreteFSPInterpretation(b *testing.B) {
 // at the full CPU budget — the operational fleet-audit wall-clock
 // (`achilles-audit run` / `benchtab -exp campaign`).
 func BenchmarkFleetCampaign(b *testing.B) {
+	b.ReportAllocs()
 	var classes int
 	for i := 0; i < b.N; i++ {
 		bundle, err := campaign.Run(campaign.Options{Jobs: runtime.NumCPU()})

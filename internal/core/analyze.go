@@ -151,13 +151,14 @@ func (r *Result) Truncated() bool { return r.EngineStats.Truncated }
 
 // liveData is the per-state analysis payload: the IDs of client path
 // predicates that can still trigger the state, plus the Sat models that
-// answered the state's queries. wit maps a bind key to a model of path ∧
-// bind, and trojan is a model of path ∧ ⋀ negate(live); either is nil when
-// unknown. Models are read-only once stored, so clones share them; onBranch
-// replaces wit with a fresh map instead of writing to a shared one.
+// answered the state's queries. wit holds, per bind class, a model of
+// path ∧ bind (nil throughout when no class has one), and trojan is a model
+// of path ∧ ⋀ negate(live); a model is nil when unknown. Models are
+// read-only once stored, so clones share them; onBranch replaces wit with a
+// fresh slice instead of writing to a shared one.
 type liveData struct {
 	live   []int
-	wit    map[string]expr.Env
+	wit    []expr.Env
 	trojan expr.Env
 }
 
@@ -447,19 +448,47 @@ func (a *analysis) triggerable(st *symexec.State, i int, m expr.Env, cond *expr.
 // state (a-posteriori mode).
 func (a *analysis) liveFromScratch(st *symexec.State) []int {
 	var live []int
-	byKey := map[string]bool{}
-	for i := range a.pc.Paths {
-		key := a.pc.Paths[i].bindKey
-		ok, seen := byKey[key]
-		if !seen {
-			ok, _ = a.triggerable(st, i, nil, nil)
-			byKey[key] = ok
+	var buf [64]classVerdict
+	verdicts := a.verdicts(buf[:0])
+	for i, cp := range a.pc.Paths {
+		v := &verdicts[cp.bindClass]
+		if *v == unasked {
+			ok, _ := a.triggerable(st, i, nil, nil)
+			*v = verdictOf(ok)
 		}
-		if ok {
+		if *v == triggers {
 			live = append(live, i)
 		}
 	}
 	return live
+}
+
+// classVerdict is one bind class's triggerable verdict on a state.
+type classVerdict int8
+
+const (
+	unasked classVerdict = iota
+	triggers
+	cannot
+)
+
+func verdictOf(ok bool) classVerdict {
+	if ok {
+		return triggers
+	}
+	return cannot
+}
+
+// verdicts returns one unasked verdict per bind class, in buf when it has
+// room.
+func (a *analysis) verdicts(buf []classVerdict) []classVerdict {
+	n := a.pc.bindClasses
+	if cap(buf) < n {
+		return make([]classVerdict, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // singleFieldOf returns the message field index when every variable of cond
@@ -529,8 +558,9 @@ func (a *analysis) onBranch(st *symexec.State, cond *expr.Expr) bool {
 	// verdict (flag-style variants admit exactly the same messages).
 	var kept, dropped []int
 	var bulkDrops, bindKeyHits int
-	byKey := map[string]bool{}
-	wit := make(map[string]expr.Env, len(d.wit))
+	var buf [64]classVerdict
+	verdicts := a.verdicts(buf[:0])
+	var wit []expr.Env
 	for _, j := range d.live {
 		bulk := false
 		if bulkField >= 0 {
@@ -552,19 +582,24 @@ func (a *analysis) onBranch(st *symexec.State, cond *expr.Expr) bool {
 			dropped = append(dropped, j)
 			continue
 		}
-		key := a.pc.Paths[j].bindKey
-		ok, seen := byKey[key]
-		if !seen {
-			var m expr.Env
-			ok, m = a.triggerable(st, j, d.wit[key], cond)
-			byKey[key] = ok
+		cls := a.pc.Paths[j].bindClass
+		if verdicts[cls] == unasked {
+			var parent expr.Env
+			if d.wit != nil {
+				parent = d.wit[cls]
+			}
+			ok, m := a.triggerable(st, j, parent, cond)
+			verdicts[cls] = verdictOf(ok)
 			if m != nil {
-				wit[key] = m
+				if wit == nil {
+					wit = make([]expr.Env, a.pc.bindClasses)
+				}
+				wit[cls] = m
 			}
 		} else {
 			bindKeyHits++
 		}
-		if ok {
+		if verdicts[cls] == triggers {
 			kept = append(kept, j)
 		} else {
 			dropped = append(dropped, j)
@@ -608,7 +643,13 @@ func (a *analysis) trojanPossible(st *symexec.State, d *liveData, cond *expr.Exp
 // predicates rather than the raw path count.
 func (a *analysis) negations(live []int) ([]*expr.Expr, bool) {
 	negs := make([]*expr.Expr, 0, len(live))
-	seen := make([]bool, a.pc.negClasses)
+	var buf [64]bool
+	var seen []bool
+	if n := a.pc.negClasses; n <= len(buf) {
+		seen = buf[:n]
+	} else {
+		seen = make([]bool, n)
+	}
 	for _, i := range live {
 		cp := a.pc.Paths[i]
 		if seen[cp.negClass] {

@@ -64,7 +64,8 @@ func classSet(run *RunResult) map[string]bool {
 }
 
 // TestRunCtxCancelMidFrontier cancels a -j 8 run from inside the server
-// phase (the first progress tick) and checks the partial-result contract:
+// phase (the first confirmed Trojan, one of 256) and checks the
+// partial-result contract:
 // RunCtx returns the partial result together with context.Canceled, the
 // result is marked Truncated, every reported class belongs to the full run's
 // class set, indices are contiguous, and no goroutines leak.
@@ -87,11 +88,13 @@ func TestRunCtxCancelMidFrontier(t *testing.T) {
 	defer cancel()
 	var once sync.Once
 	opts := AnalysisOptions{
-		Parallelism:      8,
-		ProgressInterval: time.Millisecond,
+		Parallelism: 8,
 		Observer: Observer{
-			// Cancel from inside the server phase, guaranteed mid-frontier.
-			OnProgress: func(Progress) { once.Do(cancel) },
+			// Cancel from inside the server phase, guaranteed mid-frontier:
+			// the first report fires while the other accepting states are
+			// still queued. (The first progress call can be the final
+			// snapshot, emitted after the walk.)
+			OnTrojan: func(TrojanReport) { once.Do(cancel) },
 		},
 	}
 	partial, err := RunCtx(ctx, tgt, opts)

@@ -87,6 +87,10 @@ type ClientPath struct {
 	// differ only in local-only behaviour such as flag handling), so one
 	// satisfiability verdict against a server path serves the whole group.
 	bindKey string
+	// bindClass numbers the path's bindKey among the distinct ones, in path
+	// order, so the server phase indexes its per-group verdicts and models
+	// by class in slices.
+	bindClass int
 }
 
 // BindKey exposes the canonical message-relevant signature.
@@ -151,8 +155,10 @@ type ClientPredicate struct {
 	memberClass [][]int
 	classDiff   []Tri
 	numClasses  int
-	// negClasses counts the distinct negations (ClientPath.negClass).
-	negClasses int
+	// negClasses counts the distinct negations (ClientPath.negClass), and
+	// bindClasses the distinct bind keys (ClientPath.bindClass).
+	negClasses  int
+	bindClasses int
 
 	// Masked fields are hidden from the analysis (§5.2): no negation
 	// disjuncts are built for them.
@@ -470,16 +476,24 @@ func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.
 		// matrix.
 		return
 	}
-	pc.numberNegations()
+	pc.numberClasses()
 	pc.buildDifferentFrom(ctx, s)
 }
 
-// numberNegations gives every path its negation class in path order, so the
-// IDs do not depend on how the per-path work was scheduled.
-func (pc *ClientPredicate) numberNegations() {
+// numberClasses gives every path its negation class and its bind class in
+// path order, so the IDs do not depend on how the per-path work was
+// scheduled.
+func (pc *ClientPredicate) numberClasses() {
 	firsts := map[uint64][]*ClientPath{} // first path of each class, by hash
+	binds := map[string]int{}
 	pc.negClasses = 0
 	for _, cp := range pc.Paths {
+		cls, ok := binds[cp.bindKey]
+		if !ok {
+			cls = len(binds)
+			binds[cp.bindKey] = cls
+		}
+		cp.bindClass = cls
 		h := cp.negation.Hash()
 		cp.negClass = -1
 		for _, first := range firsts[h] {
@@ -494,6 +508,7 @@ func (pc *ClientPredicate) numberNegations() {
 			firsts[h] = append(firsts[h], cp)
 		}
 	}
+	pc.bindClasses = len(binds)
 }
 
 // buildBindKey computes the canonical message-relevant signature. The

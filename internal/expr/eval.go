@@ -115,7 +115,8 @@ func Substitute(e *Expr, sub map[string]*Expr) *Expr {
 		}
 		return e
 	}
-	args := make([]*Expr, len(e.Args))
+	var buf [2]*Expr // operators take at most two operands
+	args := buf[:len(e.Args)]
 	changed := false
 	for i, a := range e.Args {
 		args[i] = Substitute(a, sub)
@@ -206,7 +207,8 @@ func RenameVars(e *Expr, fn func(string) string) *Expr {
 		}
 		return e
 	}
-	args := make([]*Expr, len(e.Args))
+	var buf [2]*Expr
+	args := buf[:len(e.Args)]
 	changed := false
 	for i, a := range e.Args {
 		args[i] = RenameVars(a, fn)

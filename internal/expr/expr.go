@@ -100,6 +100,14 @@ type Expr struct {
 	hash uint64
 }
 
+// operator is the allocation of an operator node: the node and a two-slot
+// operand array that its Args slices, so the node is one object. Leaves
+// (literals, variables) are bare Exprs and carry no operand slots.
+type operator struct {
+	Expr
+	ops [2]*Expr
+}
+
 // Interned singletons for the boolean literals and small integers.
 var (
 	trueExpr  = newNode(&Expr{Kind: KBool, Val: 1})
@@ -114,6 +122,20 @@ func init() {
 	for i := range smallConsts {
 		smallConsts[i] = newNode(&Expr{Kind: KConst, Val: int64(i - 1)})
 	}
+}
+
+// binary returns the operator node k(a, b), hashed.
+func binary(k Kind, a, b *Expr) *Expr {
+	n := &operator{Expr: Expr{Kind: k}, ops: [2]*Expr{a, b}}
+	n.Args = n.ops[:2:2]
+	return newNode(&n.Expr)
+}
+
+// unary returns the operator node k(a), hashed.
+func unary(k Kind, a *Expr) *Expr {
+	n := &operator{Expr: Expr{Kind: k}, ops: [2]*Expr{a}}
+	n.Args = n.ops[:1:1]
+	return newNode(&n.Expr)
 }
 
 // newNode finalises a node by computing its structural hash.
@@ -209,7 +231,7 @@ func Add(a, b *Expr) *Expr {
 	if b.IsConst() && b.Val == 0 {
 		return a
 	}
-	return newNode(&Expr{Kind: KAdd, Args: []*Expr{a, b}})
+	return binary(KAdd, a, b)
 }
 
 // Sub returns a - b.
@@ -223,7 +245,7 @@ func Sub(a, b *Expr) *Expr {
 	if Equal(a, b) {
 		return Const(0)
 	}
-	return newNode(&Expr{Kind: KSub, Args: []*Expr{a, b}})
+	return binary(KSub, a, b)
 }
 
 // Mul returns a * b, folding constants and simplifying multiplication by 0/1.
@@ -247,7 +269,7 @@ func Mul(a, b *Expr) *Expr {
 			return a
 		}
 	}
-	return newNode(&Expr{Kind: KMul, Args: []*Expr{a, b}})
+	return binary(KMul, a, b)
 }
 
 // Div returns a / b using Go's truncated division. Division by a constant
@@ -259,7 +281,7 @@ func Div(a, b *Expr) *Expr {
 	if b.IsConst() && b.Val == 1 {
 		return a
 	}
-	return newNode(&Expr{Kind: KDiv, Args: []*Expr{a, b}})
+	return binary(KDiv, a, b)
 }
 
 // Mod returns a % b using Go's truncated remainder semantics.
@@ -267,7 +289,7 @@ func Mod(a, b *Expr) *Expr {
 	if a.IsConst() && b.IsConst() && b.Val != 0 {
 		return Const(a.Val % b.Val)
 	}
-	return newNode(&Expr{Kind: KMod, Args: []*Expr{a, b}})
+	return binary(KMod, a, b)
 }
 
 // Neg returns -a.
@@ -278,7 +300,7 @@ func Neg(a *Expr) *Expr {
 	if a.Kind == KNeg {
 		return a.Args[0]
 	}
-	return newNode(&Expr{Kind: KNeg, Args: []*Expr{a}})
+	return unary(KNeg, a)
 }
 
 func cmpFold(k Kind, a, b int64) bool {
@@ -311,7 +333,7 @@ func compare(k Kind, a, b *Expr) *Expr {
 			return falseExpr
 		}
 	}
-	return newNode(&Expr{Kind: k, Args: []*Expr{a, b}})
+	return binary(k, a, b)
 }
 
 // Eq returns a == b.
@@ -346,7 +368,7 @@ func And(a, b *Expr) *Expr {
 	if Equal(a, b) {
 		return a
 	}
-	return newNode(&Expr{Kind: KAnd, Args: []*Expr{a, b}})
+	return binary(KAnd, a, b)
 }
 
 // Or returns a || b with boolean-literal short-circuiting.
@@ -363,7 +385,7 @@ func Or(a, b *Expr) *Expr {
 	if Equal(a, b) {
 		return a
 	}
-	return newNode(&Expr{Kind: KOr, Args: []*Expr{a, b}})
+	return binary(KOr, a, b)
 }
 
 // negatedCmp maps each comparison kind to its logical negation.
@@ -391,7 +413,7 @@ func Not(a *Expr) *Expr {
 	case KOr:
 		return And(Not(a.Args[0]), Not(a.Args[1]))
 	}
-	return newNode(&Expr{Kind: KNot, Args: []*Expr{a}})
+	return unary(KNot, a)
 }
 
 // AndAll returns the conjunction of all exprs (true for an empty list).

@@ -18,8 +18,13 @@ type verdict struct {
 // flight is one solve of a key in progress. Queries that miss the key while
 // it is in flight wait on done instead of solving it again; the leader
 // closes done once it has stored the verdict (settled) or given the key up
-// because its context fired (withdrawn, settled false).
+// because its context fired (withdrawn, settled false). Most keys are never
+// asked twice at once, so done is made by the first waiter, under the
+// cache's mutex, and stays nil when nobody waits. key is the flight's map
+// key, allocated once per miss and shared by the flight table and the
+// verdict map.
 type flight struct {
+	key     string
 	done    chan struct{}
 	v       verdict
 	settled bool
@@ -47,7 +52,7 @@ func newVerdictCache(limit int) *verdictCache {
 // appendIDKey appends the cache key of the multiset union of two sorted
 // ID lists to buf: one linear merge, each ID delta-encoded against the one
 // before it as a uvarint. Duplicates are kept (a zero delta), so the key
-// names the multiset exactly, as the feasible memo's atomSetKey names a set.
+// names the multiset exactly, as the feasible memo's appendIDSet names a set.
 func appendIDKey(buf []byte, a, b []uint64) []byte {
 	var last uint64
 	for i, j := 0, 0; i < len(a) || j < len(b); {
@@ -68,8 +73,8 @@ func appendIDKey(buf []byte, a, b []uint64) []byte {
 // claim looks key up. A cached verdict is returned with ok set. Otherwise
 // the flight solving key is returned, with lead set when this call opened
 // it: the leader must end its flight with put or withdraw, every other
-// caller waits on its done channel. A hit allocates nothing: the lookups
-// read key in place.
+// caller waits on its done channel, which claim makes for the first of
+// them. A hit allocates nothing: the lookups read key in place.
 func (c *verdictCache) claim(key []byte) (v verdict, ok bool, f *flight, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -77,36 +82,43 @@ func (c *verdictCache) claim(key []byte) (v verdict, ok bool, f *flight, lead bo
 		return v, true, nil, false
 	}
 	if f = c.flights[string(key)]; f != nil {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
 		return v, false, f, false
 	}
-	f = &flight{done: make(chan struct{})}
-	c.flights[string(key)] = f
+	f = &flight{key: string(key)}
+	c.flights[f.key] = f
 	return v, false, f, true
 }
 
-// put stores v under key and ends f, the caller's flight for key, handing v
-// to its waiters.
-func (c *verdictCache) put(key []byte, v verdict, f *flight) {
-	k := string(key)
+// put stores v under f's key and ends f, handing v to its waiters.
+func (c *verdictCache) put(f *flight, v verdict) {
 	c.mu.Lock()
-	if _, exists := c.m[k]; !exists && len(c.m) >= c.limit {
+	if _, exists := c.m[f.key]; !exists && len(c.m) >= c.limit {
 		for old := range c.m { // evict one arbitrary entry
 			delete(c.m, old)
 			break
 		}
 	}
-	c.m[k] = v
-	delete(c.flights, k)
+	c.m[f.key] = v
+	delete(c.flights, f.key)
 	f.v, f.settled = v, true
+	done := f.done
 	c.mu.Unlock()
-	close(f.done)
+	if done != nil {
+		close(done)
+	}
 }
 
 // withdraw ends a flight without a verdict; its waiters claim the key again
 // and one of them solves it.
-func (c *verdictCache) withdraw(key []byte, f *flight) {
+func (c *verdictCache) withdraw(f *flight) {
 	c.mu.Lock()
-	delete(c.flights, string(key))
+	delete(c.flights, f.key)
+	done := f.done
 	c.mu.Unlock()
-	close(f.done)
+	if done != nil {
+		close(done)
+	}
 }

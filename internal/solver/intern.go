@@ -5,7 +5,13 @@ package solver
 // derived forms the hot path used to recompute per query:
 //
 //   - the linearisation (linAtom or "outside the fragment");
-//   - the sorted variable list (the unit of conjState's variable table).
+//   - the sorted variable list (the unit of conjState's variable table,
+//     which a query merges from its entries' lists);
+//   - filled on first use: the entry of the expression's negation
+//     (Prefix.Implies) and, for a disjunction, its split parts, the
+//     flattened and interned top-level disjuncts the DPLL split tree
+//     appends to its stacks (splitOf, part), so no split re-walks an Or
+//     tree or re-interns its atoms.
 //
 // Entries also carry a stable per-solver ID, the unit of every query key:
 // the verdict cache keys a query by the multiset of its constraints' IDs and
@@ -29,7 +35,6 @@ package solver
 // memo of its own, which goes when the scoped solver does.
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,14 +47,33 @@ import (
 const memoCap = 1 << 14
 
 // internEntry is the canonical per-solver record of one structurally
-// distinct expression. Immutable after construction, except that neg is
-// filled in on first use.
+// distinct expression. Immutable after construction, except that neg and
+// split are filled in on first use.
 type internEntry struct {
-	id   uint64
-	e    *expr.Expr
-	la   *linAtom                    // linearisation; nil when e is outside the linear fragment
-	vars []string                    // sorted variable names of e
-	neg  atomic.Pointer[internEntry] // entry of expr.Not(e); see negation
+	id    uint64
+	e     *expr.Expr
+	la    *linAtom                    // linearisation; nil when e is outside the linear fragment
+	vars  []string                    // sorted variable names of e
+	neg   atomic.Pointer[internEntry] // entry of expr.Not(e); see negation
+	split atomic.Pointer[splitList]   // a disjunction's split parts; see splitOf
+}
+
+// splitList is the split view of a disjunction: its top-level disjuncts in
+// Or-tree order and, filled on each one's first visit, its flattened and
+// interned form. A part is interned when a split first reaches it, so the
+// arena holds exactly the entries, under the same IDs, that flattening the
+// part at each split would create.
+type splitList struct {
+	es    []*expr.Expr
+	parts []atomic.Pointer[splitPart]
+}
+
+// splitPart is one flattened disjunct: the conjunctive atoms and
+// disjunctions a split on it adds. ok is false when the disjunct contains a
+// literal false, and the split skips it.
+type splitPart struct {
+	conj, disj []*internEntry
+	ok         bool
 }
 
 // internArena unifies expressions for one Solver. Safe for concurrent use:
@@ -147,6 +171,38 @@ func (a *internArena) negation(en *internEntry) *internEntry {
 	return n
 }
 
+// splitOf returns the split view of the disjunction en. The DPLL split
+// tree splits the same disjunctions over and over, in sibling branches and
+// in query after query, so each entry walks its Or tree once and keeps the
+// disjuncts, and each part is flattened and interned once (part). Goroutines
+// racing on a first call agree on the list that CompareAndSwap stored.
+func (s *Solver) splitOf(en *internEntry) *splitList {
+	if l := en.split.Load(); l != nil {
+		return l
+	}
+	l := &splitList{}
+	disjuncts(en.e, &l.es)
+	l.parts = make([]atomic.Pointer[splitPart], len(l.es))
+	if !en.split.CompareAndSwap(nil, l) {
+		l = en.split.Load()
+	}
+	return l
+}
+
+// part returns the i-th part of l, flattening and interning it on first
+// use. Racing first uses compute equal parts, and either store wins.
+func (s *Solver) part(l *splitList, i int) *splitPart {
+	if p := l.parts[i].Load(); p != nil {
+		return p
+	}
+	p := &splitPart{}
+	if p.ok = s.flattenInto(l.es[i], &p.conj, &p.disj); !p.ok {
+		p.conj, p.disj = nil, nil
+	}
+	l.parts[i].Store(p)
+	return p
+}
+
 // size reports the number of distinct interned expressions.
 func (a *internArena) size() int {
 	a.mu.Lock()
@@ -160,20 +216,4 @@ func (s *Solver) appendInterned(dst []*internEntry, constraints []*expr.Expr) []
 		dst = append(dst, s.arena.intern(c))
 	}
 	return dst
-}
-
-// varTable returns the sorted, duplicate-free union of the entries'
-// variable names — the list expr.VarsOf computes by walking the trees,
-// assembled from the cached per-entry lists instead.
-func varTable(entries []*internEntry) []string {
-	n := 0
-	for _, en := range entries {
-		n += len(en.vars)
-	}
-	out := make([]string, 0, n)
-	for _, en := range entries {
-		out = append(out, en.vars...)
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
 }

@@ -50,46 +50,35 @@ func newFeasibleMemo() *feasibleMemo {
 	return &feasibleMemo{m: make(map[string]struct{})}
 }
 
-// atomSetKey encodes the sorted, deduplicated interned-ID set of a
-// conjunction as a compact byte string.
-func atomSetKey(entries []*internEntry) string {
-	ids := make([]uint64, 0, len(entries))
-	for _, en := range entries {
-		ids = append(ids, en.id)
-	}
-	// Insertion sort: conjunctions are small and mostly pre-sorted (prefix
-	// atoms intern in path order).
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	buf := make([]byte, 0, len(ids)*2)
+// appendIDSet appends the feasible-memo key of a sorted ID list to buf:
+// each distinct ID delta-encoded against the one before it as a uvarint,
+// duplicates dropped, so the key names the set.
+func appendIDSet(buf []byte, ids []uint64) []byte {
 	var last uint64
 	for i, id := range ids {
 		if i > 0 && id == last {
 			continue
 		}
-		// Delta-encode against the previous ID: sorted sets varint-pack well.
 		buf = binary.AppendUvarint(buf, id-last)
 		last = id
 	}
-	return string(buf)
+	return buf
 }
 
-// has reports whether the conjunction key was recorded as not refuted.
-func (f *feasibleMemo) has(key string) bool {
+// has reports whether the conjunction key was recorded as not refuted. The
+// lookup reads key in place.
+func (f *feasibleMemo) has(key []byte) bool {
 	f.mu.Lock()
-	_, ok := f.m[key]
+	_, ok := f.m[string(key)]
 	f.mu.Unlock()
 	return ok
 }
 
 // add records a conjunction key, dropping it when the memo is full.
-func (f *feasibleMemo) add(key string) {
+func (f *feasibleMemo) add(key []byte) {
 	f.mu.Lock()
 	if len(f.m) < feasibleCap {
-		f.m[key] = struct{}{}
+		f.m[string(key)] = struct{}{}
 	}
 	f.mu.Unlock()
 }

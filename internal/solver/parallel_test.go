@@ -30,8 +30,11 @@ func trojanShapedQueries() [][]*expr.Expr {
 // TestConcurrentCheckMatchesSequential hammers one shared Solver from many
 // goroutines and asserts every answer (and every Sat model, which Check
 // verifies by evaluation before returning) matches the sequential baseline.
-// Under -race this doubles as the data-race check for the stats counters and
-// the verdict cache.
+// It runs twice: on a caching solver, where hits and misses interleave, and
+// on a cache-disabled one, where every call walks the split tree through
+// the pooled scratch buffers and the lazily filled split lists at once.
+// Under -race this doubles as the data-race check for the stats counters,
+// the verdict cache, the scratch pool and the split lists.
 func TestConcurrentCheckMatchesSequential(t *testing.T) {
 	qs := trojanShapedQueries()
 	baseline := New(Options{DisableCache: true})
@@ -40,50 +43,58 @@ func TestConcurrentCheckMatchesSequential(t *testing.T) {
 		want[i], _ = baseline.Check(q)
 	}
 
-	shared := Default()
 	const goroutines = 8
 	const rounds = 5
-	errs := make(chan error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for i := range qs {
-					// Each goroutine walks the batch at a different offset so
-					// cache hits and misses interleave.
-					idx := (i + g*7) % len(qs)
-					res, model := shared.Check(qs[idx])
-					if res != want[idx] {
-						errs <- fmt.Errorf("goroutine %d: query %d = %v, want %v", g, idx, res, want[idx])
-						return
-					}
-					if res == Sat {
-						for _, c := range qs[idx] {
-							ok, err := expr.EvalBool(c, model)
-							if err != nil || !ok {
-								errs <- fmt.Errorf("goroutine %d: query %d: model %v fails %s", g, idx, model, c)
-								return
+	for _, tc := range []struct {
+		name   string
+		shared *Solver
+	}{
+		{"cached", Default()},
+		{"uncached", New(Options{DisableCache: true})},
+	} {
+		shared := tc.shared
+		errs := make(chan error, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					for i := range qs {
+						// Each goroutine walks the batch at a different
+						// offset so cache hits and misses interleave.
+						idx := (i + g*7) % len(qs)
+						res, model := shared.Check(qs[idx])
+						if res != want[idx] {
+							errs <- fmt.Errorf("%s: goroutine %d: query %d = %v, want %v", tc.name, g, idx, res, want[idx])
+							return
+						}
+						if res == Sat {
+							for _, c := range qs[idx] {
+								ok, err := expr.EvalBool(c, model)
+								if err != nil || !ok {
+									errs <- fmt.Errorf("%s: goroutine %d: query %d: model %v fails %s", tc.name, g, idx, model, c)
+									return
+								}
 							}
 						}
 					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	st := shared.Stats()
-	if st.CacheHits == 0 {
-		t.Fatal("no cache hits across repeated identical queries")
-	}
-	if st.Queries != goroutines*rounds*len(qs) {
-		t.Fatalf("query counter %d, want %d", st.Queries, goroutines*rounds*len(qs))
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		st := shared.Stats()
+		if shared.cache != nil && st.CacheHits == 0 {
+			t.Fatal("no cache hits across repeated identical queries")
+		}
+		if st.Queries != goroutines*rounds*len(qs) {
+			t.Fatalf("%s: query counter %d, want %d", tc.name, st.Queries, goroutines*rounds*len(qs))
+		}
 	}
 }
 

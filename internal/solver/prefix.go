@@ -86,7 +86,7 @@ func (p *Prefix) Extend(cond *expr.Expr) *Prefix {
 		disj:    append([]*internEntry{}, p.disj...),
 		refuted: p.refuted,
 	}
-	if !np.refuted && !s.flattenInto(cond, &np.conj, &np.disj) {
+	if !np.refuted && !s.appendFlat(en, &np.conj, &np.disj) {
 		np.refuted = true
 	}
 	return np

@@ -82,7 +82,12 @@ func (r Result) String() string {
 }
 
 // Stats accumulates counters across queries; read them for the evaluation
-// harness, reset them with ResetStats.
+// harness, reset them with ResetStats. A query publishes its work counters
+// (Decisions, Propagations, Splits, Verified, FeasibleHits, RoundCaps) when
+// it ends and, while it searches, every 64 decisions: a live read can lag a
+// running query by fewer than 64 decisions, and by the split-tree work done
+// since the query last published. Once every query has returned, the
+// totals are exact.
 type Stats struct {
 	Queries      int // Check calls
 	Decisions    int // variable assignments tried
@@ -115,18 +120,14 @@ type Stats struct {
 	RoundCaps int
 }
 
-// counters is the internal, concurrency-safe representation of Stats.
+// counters is the internal, concurrency-safe representation of Stats. work
+// holds the totals that queries publish from their tallies (scratch.go).
 type counters struct {
-	queries      atomic.Int64
-	decisions    atomic.Int64
-	propagations atomic.Int64
-	splits       atomic.Int64
-	verified     atomic.Int64
-	unknowns     atomic.Int64
-	cacheHits    atomic.Int64
-	cacheMisses  atomic.Int64
-	feasibleHits atomic.Int64
-	roundCaps    atomic.Int64
+	queries     atomic.Int64
+	unknowns    atomic.Int64
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
+	work        [nWork]atomic.Int64
 }
 
 // Options configure a Solver.
@@ -193,33 +194,30 @@ func Default() *Solver { return New(Options{}) }
 func (s *Solver) Stats() Stats {
 	return Stats{
 		Queries:      int(s.stats.queries.Load()),
-		Decisions:    int(s.stats.decisions.Load()),
-		Propagations: int(s.stats.propagations.Load()),
-		Splits:       int(s.stats.splits.Load()),
-		Verified:     int(s.stats.verified.Load()),
+		Decisions:    int(s.stats.work[wDecisions].Load()),
+		Propagations: int(s.stats.work[wPropagations].Load()),
+		Splits:       int(s.stats.work[wSplits].Load()),
+		Verified:     int(s.stats.work[wVerified].Load()),
 		Unknowns:     int(s.stats.unknowns.Load()),
 		CacheHits:    int(s.stats.cacheHits.Load()),
 		CacheMisses:  int(s.stats.cacheMisses.Load()),
 
 		Interned:     s.arena.size(),
-		FeasibleHits: int(s.stats.feasibleHits.Load()),
+		FeasibleHits: int(s.stats.work[wFeasibleHits].Load()),
 		MemoResets:   int(s.arena.resets.Load()),
-		RoundCaps:    int(s.stats.roundCaps.Load()),
+		RoundCaps:    int(s.stats.work[wRoundCaps].Load()),
 	}
 }
 
 // ResetStats zeroes the statistics counters.
 func (s *Solver) ResetStats() {
 	s.stats.queries.Store(0)
-	s.stats.decisions.Store(0)
-	s.stats.propagations.Store(0)
-	s.stats.splits.Store(0)
-	s.stats.verified.Store(0)
 	s.stats.unknowns.Store(0)
 	s.stats.cacheHits.Store(0)
 	s.stats.cacheMisses.Store(0)
-	s.stats.feasibleHits.Store(0)
-	s.stats.roundCaps.Store(0)
+	for w := range s.stats.work {
+		s.stats.work[w].Store(0)
+	}
 	s.arena.resets.Store(0)
 }
 
@@ -292,9 +290,9 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 			if ctx.Err() != nil && res == Unknown {
 				// Aborted mid-search: the Unknown reflects the cancellation,
 				// not the query. Report it, but do not cache it.
-				s.cache.withdraw(key, f)
+				s.cache.withdraw(f)
 			} else {
-				s.cache.put(key, verdict{res: res, model: model}, f)
+				s.cache.put(f, verdict{res: res, model: model})
 			}
 			return res, model
 		}
@@ -316,26 +314,33 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 }
 
 // check solves the prefix extended by the interned conds without
-// consulting the cache.
+// consulting the cache, on a pooled scratch (scratch.go).
 func (s *Solver) check(ctx context.Context, p *Prefix, ens []*internEntry) (Result, expr.Env) {
 	if p.refuted {
 		return Unsat, nil
 	}
-	// The prefix's slices are shared with every query on it: conj is copied
-	// and disj clipped, so appending never writes into them.
-	conj := append(make([]*internEntry, 0, len(p.conj)+len(ens)), p.conj...)
-	disj := slices.Clip(p.disj)
-	for _, en := range ens {
-		if !s.flattenInto(en.e, &conj, &disj) {
-			return Unsat, nil
-		}
-	}
-	budget := s.opts.MaxDecisions
-	res, model := s.solve(ctx, conj, disj, &budget)
+	sc := getScratch()
+	res, model := s.checkOn(ctx, sc, p, ens)
+	s.flush(&sc.tally)
+	putScratch(sc)
 	if res == Unknown {
 		s.stats.unknowns.Add(1)
 	}
 	return res, model
+}
+
+// checkOn fills the scratch's split stacks with the prefix's flattened form
+// extended by ens and solves them.
+func (s *Solver) checkOn(ctx context.Context, sc *scratch, p *Prefix, ens []*internEntry) (Result, expr.Env) {
+	sc.conj = append(sc.conj[:0], p.conj...)
+	sc.disj = append(sc.disj[:0], p.disj...)
+	for _, en := range ens {
+		if !s.appendFlat(en, &sc.conj, &sc.disj) {
+			return Unsat, nil
+		}
+	}
+	budget := s.opts.MaxDecisions
+	return s.solve(ctx, sc, len(sc.conj), 0, len(sc.disj), &budget)
 }
 
 // CheckExpr decides a single (possibly compound) boolean expression.
@@ -361,6 +366,20 @@ func (s *Solver) flattenInto(e *expr.Expr, conj, disj *[]*internEntry) bool {
 	}
 }
 
+// appendFlat is flattenInto for an interned expression: an atom or a
+// disjunction is its own entry, so only an And tree is walked.
+func (s *Solver) appendFlat(en *internEntry, conj, disj *[]*internEntry) bool {
+	switch en.e.Kind {
+	case expr.KBool, expr.KAnd:
+		return s.flattenInto(en.e, conj, disj)
+	case expr.KOr:
+		*disj = append(*disj, en)
+	default:
+		*conj = append(*conj, en)
+	}
+	return true
+}
+
 // disjuncts expands an Or tree into its top-level disjuncts.
 func disjuncts(e *expr.Expr, out *[]*expr.Expr) {
 	if e.Kind == expr.KOr {
@@ -372,14 +391,18 @@ func disjuncts(e *expr.Expr, out *[]*expr.Expr) {
 }
 
 // solve handles DPLL splitting over the disjunctions, then delegates pure
-// conjunctions to solveConj. A cancelled ctx aborts the split tree with
-// Unknown at the next node boundary.
-func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, budget *int) (Result, expr.Env) {
+// conjunctions to solveConj. A node works on the scratch's stacks: its
+// conjunction is sc.conj[:nc] and its remaining disjunctions sc.disj[di:nd].
+// A split appends its part's atoms past nc and its disjunctions past nd, so
+// a child's remaining list is the node's rest followed by the part's, and
+// recurses; the next sibling truncates back to nc and nd. A cancelled ctx
+// aborts the split tree with Unknown at the next node boundary.
+func (s *Solver) solve(ctx context.Context, sc *scratch, nc, di, nd int, budget *int) (Result, expr.Env) {
 	if ctx.Err() != nil {
 		return Unknown, nil
 	}
-	if len(disj) == 0 {
-		return s.solveConj(ctx, conj, budget)
+	if di == nd {
+		return s.solveConj(ctx, sc, sc.conj[:nc], budget)
 	}
 	// Split-node pruning: refute the partial conjunction by propagation
 	// before splitting further. Without this, a contradicted disjunct picked
@@ -391,27 +414,25 @@ func (s *Solver) solve(ctx context.Context, conj, disj []*internEntry, budget *i
 	// disjuncts can never make an unsat conjunction satisfiable), so
 	// verdicts are unchanged; only the visit order of the split tree
 	// shrinks.
-	if !s.feasible(conj) {
+	if !s.feasible(sc, sc.conj[:nc]) {
 		return Unsat, nil
 	}
 	// Split on the first disjunction; propagation inside solveConj will
 	// quickly kill infeasible branches.
-	d := disj[0]
-	rest := disj[1:]
-	var parts []*expr.Expr
-	disjuncts(d.e, &parts)
+	l := s.splitOf(sc.disj[di])
 	sawUnknown := false
-	for _, p := range parts {
+	for i := range l.es {
 		if *budget <= 0 {
 			return Unknown, nil
 		}
-		s.stats.splits.Add(1)
-		subConj := append([]*internEntry{}, conj...)
-		subDisj := append([]*internEntry{}, rest...)
-		if !s.flattenInto(p, &subConj, &subDisj) {
+		sc.tally[wSplits]++
+		p := s.part(l, i)
+		if !p.ok {
 			continue
 		}
-		res, model := s.solve(ctx, subConj, subDisj, budget)
+		sc.conj = append(sc.conj[:nc], p.conj...)
+		sc.disj = append(sc.disj[:nd], p.disj...)
+		res, model := s.solve(ctx, sc, len(sc.conj), di+1, len(sc.disj), budget)
 		switch res {
 		case Sat:
 			return Sat, model
@@ -487,8 +508,12 @@ func clamp(v int64) int64 {
 //
 // The layout (vars, dom, slots) is built by the first propagate, after
 // linearConflict has had its turn: many refuted conjunctions are refuted
-// there, before any domain is read.
+// there, before any domain is read. A fast-path state lives on its query's
+// scratch (sc), which supplies every slice; the reference's states have no
+// scratch and allocate theirs.
 type conjState struct {
+	sc         *scratch       // the query's scratch; nil for the reference
+	depth      int            // search depth: the index of the child domain buffer
 	entries    []*internEntry // interned source atoms (nil for the reference)
 	atoms      []*linAtom     // linearised atoms
 	nonlin     []*expr.Expr   // atoms outside the linear fragment
@@ -507,34 +532,13 @@ type term struct {
 	coeff int64
 }
 
-// newConjState assembles the conjunction search state from interned entries:
-// linearisations and variable lists come from the arena instead of being
-// recomputed. The dense layout is left to the first propagate: the
-// refutation layer in front of it needs only the atoms. The state is
-// returned by value so that it can live on the caller's stack.
-func (s *Solver) newConjState(entries []*internEntry) conjState {
-	cs := conjState{entries: entries, atoms: make([]*linAtom, 0, len(entries))}
-	for _, en := range entries {
-		if en.la != nil {
-			cs.atoms = append(cs.atoms, en.la)
-		} else {
-			cs.nonlin = append(cs.nonlin, en.e)
-			cs.nonlinVars = append(cs.nonlinVars, en.vars)
-		}
-	}
-	return cs
-}
-
 // layout builds the dense state: unless the reference set it up front, the
 // variable table is the sorted union of the entries' variables, and every
 // domain starts full.
 func (cs *conjState) layout() {
-	if cs.vars == nil {
-		cs.vars = varTable(cs.entries)
-	}
-	cs.dom = make([]interval, len(cs.vars))
-	for i := range cs.dom {
-		cs.dom[i] = interval{-satLimit, satLimit}
+	sc := cs.sc
+	if cs.vars == nil && sc != nil {
+		cs.vars = sc.varTable(cs.entries)
 	}
 	n := 0
 	for _, a := range cs.atoms {
@@ -543,7 +547,25 @@ func (cs *conjState) layout() {
 	for _, names := range cs.nonlinVars {
 		n += len(names)
 	}
-	cs.slots = make([]int32, 0, n)
+	if sc != nil {
+		sc.dom = grow(sc.dom, len(cs.vars))
+		cs.dom = sc.dom
+		if cap(sc.slots) < n {
+			sc.slots = make([]int32, 0, n)
+		}
+		cs.slots = sc.slots[:0]
+		// No atom has more free variables than the table has slots.
+		if cap(sc.free) < len(cs.vars) {
+			sc.free = make([]term, 0, len(cs.vars))
+		}
+		cs.free = sc.free[:0]
+	} else {
+		cs.dom = make([]interval, len(cs.vars))
+		cs.slots = make([]int32, 0, n)
+	}
+	for i := range cs.dom {
+		cs.dom[i] = interval{-satLimit, satLimit}
+	}
 	for _, a := range cs.atoms {
 		cs.slots = appendSlots(cs.slots, cs.vars, a.vars)
 	}
@@ -564,19 +586,19 @@ func appendSlots(slots []int32, vars, names []string) []int32 {
 // linearConflict, interval propagation — fails to refute the conjunction:
 // false means provably unsat. It runs no search, which keeps it cheap
 // enough for every DPLL split node.
-func (s *Solver) feasible(conj []*internEntry) bool {
+func (s *Solver) feasible(sc *scratch, conj []*internEntry) bool {
 	// The gate is a pure function of the atom set (see learn.go), so the
 	// "not refuted" answer is memoised: sibling split branches rebuild the
 	// same partial conjunctions over and over, and a hit skips the whole
 	// conjState build and propagation. The answer feeds nothing downstream
 	// but the split/no-split decision, so replaying it cannot shift
 	// verdicts.
-	key := atomSetKey(conj)
+	key := sc.atomSetKey(conj)
 	if s.propOK.has(key) {
-		s.stats.feasibleHits.Add(1)
+		sc.tally[wFeasibleHits]++
 		return true
 	}
-	cs := s.newConjState(conj)
+	cs := sc.conjState(conj)
 	if linearConflict(cs.atoms) || !s.propagate(&cs) {
 		return false
 	}
@@ -587,15 +609,16 @@ func (s *Solver) feasible(conj []*internEntry) bool {
 // solveConj decides a pure conjunction of atoms. The budget-free refutation
 // layer (pairwise conflicts, propagation) runs first; only then is the
 // decision budget spent on search.
-func (s *Solver) solveConj(ctx context.Context, conj []*internEntry, budget *int) (Result, expr.Env) {
-	cs := s.newConjState(conj)
+func (s *Solver) solveConj(ctx context.Context, sc *scratch, conj []*internEntry, budget *int) (Result, expr.Env) {
+	cs := sc.conjState(conj)
 	if linearConflict(cs.atoms) || !s.propagate(&cs) {
 		return Unsat, nil
 	}
-	cs.orig = make([]*expr.Expr, len(conj))
-	for i, en := range conj {
-		cs.orig[i] = en.e
+	cs.orig = sc.orig[:0]
+	for _, en := range conj {
+		cs.orig = append(cs.orig, en.e)
 	}
+	sc.orig = cs.orig
 	return s.search(ctx, &cs, budget)
 }
 
@@ -622,8 +645,10 @@ func (s *Solver) propagate(cs *conjState) bool {
 		// Try to finish non-linear atoms that became concrete.
 		for i, nl := range cs.nonlin {
 			n := len(cs.nonlinVars[i])
-			if v, err := expr.EvalBool(nl, cs.pointEnv(slots[:n])); err == nil && !v {
-				return false
+			if env := cs.pointEnv(slots[:n]); env != nil {
+				if v, err := expr.EvalBool(nl, env); err == nil && !v {
+					return false
+				}
 			}
 			slots = slots[n:]
 		}
@@ -631,20 +656,30 @@ func (s *Solver) propagate(cs *conjState) bool {
 			return true
 		}
 	}
-	s.stats.roundCaps.Add(1)
+	s.add(cs, wRoundCaps)
 	return true
 }
 
 // pointEnv binds the variables at slots if every one of them is pinned to a
-// point domain; otherwise it returns nil (EvalBool will error on the unbound
-// variable, which callers treat as "not decidable yet").
+// point domain; otherwise it returns nil and the atom is not decidable yet.
+// (Evaluating it would fail on an unbound variable: the constructors fold
+// every variable-free operand, so no And or Or can short-circuit past one.
+// propagate skips that evaluation, and the error it would allocate.) A
+// fast-path state binds them in its scratch's env, valid until the next
+// pointEnv call.
 func (cs *conjState) pointEnv(slots []int32) expr.Env {
 	for _, sl := range slots {
 		if !cs.dom[sl].point() {
 			return nil
 		}
 	}
-	env := make(expr.Env, len(slots))
+	var env expr.Env
+	if cs.sc != nil {
+		env = cs.sc.point
+		clear(env)
+	} else {
+		env = make(expr.Env, len(slots))
+	}
 	for _, sl := range slots {
 		env[cs.vars[sl]] = cs.dom[sl].lo
 	}
@@ -674,7 +709,7 @@ func (cs *conjState) setDomain(sl int32, iv interval) (bool, bool) {
 // propagateAtom tightens domains using one linear atom whose variables sit
 // at slots. Atom form: sum(coeff_i * x_i) + c  OP  0 with OP in {<=, ==, !=}.
 func (s *Solver) propagateAtom(cs *conjState, a *linAtom, slots []int32) (ok, changed bool) {
-	s.stats.propagations.Add(1)
+	s.add(cs, wPropagations)
 	// Partition into pinned and free, folding pinned values into c.
 	c := a.c
 	free := cs.free[:0]
@@ -812,7 +847,9 @@ func ceilDiv(a, b int64) int64 {
 // ctxCheckMask paces cancellation polling inside the enumeration loop:
 // ctx.Err() takes a lock on cancellable contexts, so it is consulted every
 // 64 decisions rather than on each one. 64 decisions re-propagate domains
-// in well under a millisecond, keeping abort latency negligible.
+// in well under a millisecond, keeping abort latency negligible. The same
+// poll publishes the query's work tally, so a live Stats read lags a
+// search by fewer than 64 decisions.
 const ctxCheckMask = 63
 
 // search enumerates assignments. It always verifies candidate models against
@@ -846,9 +883,16 @@ func (s *Solver) search(ctx context.Context, cs *conjState, budget *int) (Result
 		candidates = boundaryCandidates(&buf, d)
 		n = int64(len(candidates))
 	}
-	// One child domain buffer per node, refilled for each candidate.
+	// One child domain buffer per node, refilled for each candidate: the
+	// scratch's buffer for the child's depth, which no other live node
+	// uses.
 	child := *cs
-	child.dom = make([]interval, len(cs.dom))
+	child.depth = cs.depth + 1
+	if cs.sc != nil {
+		child.dom = cs.sc.domBuf(cs.depth, len(cs.dom))
+	} else {
+		child.dom = make([]interval, len(cs.dom))
+	}
 	sawUnknown := !exhaustive
 	for k := int64(0); k < n; k++ {
 		v := d.lo + k
@@ -858,11 +902,16 @@ func (s *Solver) search(ctx context.Context, cs *conjState, budget *int) (Result
 		if *budget <= 0 {
 			return Unknown, nil
 		}
-		if *budget&ctxCheckMask == 0 && ctx.Err() != nil {
-			return Unknown, nil
+		if *budget&ctxCheckMask == 0 {
+			if cs.sc != nil {
+				s.flush(&cs.sc.tally)
+			}
+			if ctx.Err() != nil {
+				return Unknown, nil
+			}
 		}
 		*budget--
-		s.stats.decisions.Add(1)
+		s.add(cs, wDecisions)
 		copy(child.dom, cs.dom)
 		child.dom[best] = interval{v, v}
 		if !s.propagate(&child) {
@@ -899,17 +948,31 @@ func boundaryCandidates(buf *[15]int64, d interval) []int64 {
 	return out
 }
 
-// finish validates a full assignment against all original constraints.
+// finish validates a full assignment against all original constraints. A
+// fast-path state verifies in its scratch's env and copies it out only for
+// a Sat model.
 func (s *Solver) finish(cs *conjState) (Result, expr.Env) {
-	env := make(expr.Env, len(cs.vars))
+	var env expr.Env
+	if cs.sc != nil {
+		env = cs.sc.env
+		clear(env)
+	} else {
+		env = make(expr.Env, len(cs.vars))
+	}
 	for i, v := range cs.vars {
 		env[v] = cs.dom[i].lo
 	}
-	s.stats.verified.Add(1)
+	s.add(cs, wVerified)
 	for _, a := range cs.orig {
 		v, err := expr.EvalBool(a, env)
 		if err != nil || !v {
 			return Unsat, nil
+		}
+	}
+	if cs.sc != nil {
+		env = make(expr.Env, len(cs.vars))
+		for i, v := range cs.vars {
+			env[v] = cs.dom[i].lo
 		}
 	}
 	return Sat, env

@@ -412,6 +412,27 @@ func (e *engine) initialState(entry *lang.IRFunc) *State {
 	return st
 }
 
+// arrayAlias pairs an array of a forked state with its copy. A state holds
+// a handful of arrays, so a fork's alias table is a small slice, scanned
+// linearly, instead of a map built per fork.
+type arrayAlias struct{ old, dup *ArrayObj }
+
+// copyValue returns v with its array, if any, replaced by the array's copy,
+// made on first sight and recorded in seen, so arrays aliased in the parent
+// stay aliased in the child.
+func copyValue(seen []arrayAlias, v Value) (Value, []arrayAlias) {
+	if v.Arr == nil {
+		return v, seen
+	}
+	for _, a := range seen {
+		if a.old == v.Arr {
+			return Value{Arr: a.dup}, seen
+		}
+	}
+	dup := &ArrayObj{Elems: append([]*expr.Expr{}, v.Arr.Elems...)}
+	return Value{Arr: dup}, append(seen, arrayAlias{v.Arr, dup})
+}
+
 // fork deep-copies a state, preserving array aliasing.
 func (e *engine) fork(ctx *wctx, st *State) *State {
 	ns := &State{
@@ -425,28 +446,18 @@ func (e *engine) fork(ctx *wctx, st *State) *State {
 		msgCounter:  st.msgCounter,
 		prefix:      st.prefix, // immutable; extended per-side after the fork
 	}
-	seen := map[*ArrayObj]*ArrayObj{}
-	cpVal := func(v Value) Value {
-		if v.Arr == nil {
-			return v
-		}
-		if dup, ok := seen[v.Arr]; ok {
-			return Value{Arr: dup}
-		}
-		dup := &ArrayObj{Elems: append([]*expr.Expr{}, v.Arr.Elems...)}
-		seen[v.Arr] = dup
-		return Value{Arr: dup}
-	}
+	var buf [8]arrayAlias
+	seen := buf[:0]
 	ns.Globals = make([]Value, len(st.Globals))
 	for i, v := range st.Globals {
-		ns.Globals[i] = cpVal(v)
+		ns.Globals[i], seen = copyValue(seen, v)
 	}
 	ns.Frames = make([]Frame, len(st.Frames))
 	for i, fr := range st.Frames {
 		nf := fr
 		nf.Slots = make([]Value, len(fr.Slots))
 		for j, v := range fr.Slots {
-			nf.Slots[j] = cpVal(v)
+			nf.Slots[j], seen = copyValue(seen, v)
 		}
 		ns.Frames[i] = nf
 	}

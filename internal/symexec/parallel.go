@@ -143,14 +143,20 @@ func (e *engine) explore(init *State) *Result {
 }
 
 // work is one worker's loop: pop a state, run it to a terminal status and
-// record it, until the frontier is drained or stopped.
+// record it, until the frontier is drained or stopped. A cancellable run
+// polls its context before each popped state too: states shorter than
+// stepCheckMask steps never reach the in-loop poll, and under load the
+// AfterFunc callback can run only after such states have drained the
+// frontier, which would report a cancelled run complete.
 func (e *engine) work(w *wctx) {
+	poll := e.ctx.Done() != nil
 	for {
 		st := e.front.pop()
 		if st == nil {
 			return
 		}
-		for st.Status == StatusRunning {
+		aborted := poll && e.ctxAborted()
+		for !aborted && st.Status == StatusRunning {
 			if st.Steps&stepCheckMask == 0 && e.ctxAborted() {
 				break
 			}
