@@ -35,12 +35,14 @@ type Manifest struct {
 	Jobs          int    `json:"jobs"`       // the global -j budget
 	WallMS        int64  `json:"wall_ms"`    // end-to-end campaign wall time
 
-	// Solver is the work this campaign added to its solver: the solver's
-	// statistics at the end of the run minus those before its first job.
-	// A fresh solver (the CLI's) counts the whole campaign; a shared one
-	// (achillesd's) counts this run only, except that two runs overlapping
-	// on one solver each count the other's work during the overlap. Per-job
-	// solver_* counters are cumulative snapshots of the shared solver.
+	// Solver is this campaign's solver work: the sum of the solver_*
+	// counters of the runs it executed, in this process or in workers. Each
+	// run counts its own work on a scope of its solver (core.RunCtx), so
+	// the sum is the same whatever else shares the solver, and the same
+	// in-process and under -workers. Neither a cached run (its counters are
+	// the baseline's) nor an interrupted run (which records no counters)
+	// adds anything. queries does not depend on the schedule; on a shared
+	// verdict cache the hit/miss split does.
 	Solver Counters `json:"solver,omitempty"`
 
 	// Baseline records where reused reports came from (the -baseline dir)

@@ -215,14 +215,6 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 	if budget <= 0 {
 		budget = 1
 	}
-	sol := opts.Solver
-	if sol == nil {
-		sol = solver.Default()
-	}
-	// A shared solver (the daemon's) carries earlier runs' work: the
-	// manifest counts only what this run adds.
-	before := sol.Stats()
-
 	b := &Bundle{
 		Manifest: Manifest{
 			FormatVersion: FormatVersion,
@@ -259,7 +251,7 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 
 	exec := opts.Executor
 	if exec == nil {
-		exec = NewLocalExecutor(opts, sol)
+		exec = NewLocalExecutor(opts, opts.Solver)
 	}
 	pending := make([]PlannedJob, len(toRun))
 	for k, i := range toRun {
@@ -304,10 +296,15 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 	if opts.Baseline != nil {
 		b.Manifest.Baseline = opts.BaselineDir
 	}
+	b.Manifest.Solver = Counters{"queries": 0, "cache_hits": 0, "cache_misses": 0, "unknowns": 0}
 	for i := range jobs {
 		runs[i].InputFingerprint = fps[i]
 		if runs[i].Cached {
 			b.Manifest.CachedJobs++
+		} else {
+			for k := range b.Manifest.Solver {
+				b.Manifest.Solver[k] += runs[i].Counters["solver_"+k]
+			}
 		}
 		b.Manifest.Runs = append(b.Manifest.Runs, runs[i])
 		// Failed jobs have no report stream — leave them out of Reports so
@@ -316,13 +313,6 @@ func RunCtx(ctx context.Context, opts Options) (*Bundle, error) {
 		if runs[i].Error == "" {
 			b.Reports[jobs[i].Key()] = reports[i]
 		}
-	}
-	st := sol.Stats()
-	b.Manifest.Solver = Counters{
-		"queries":      int64(st.Queries - before.Queries),
-		"cache_hits":   int64(st.CacheHits - before.CacheHits),
-		"cache_misses": int64(st.CacheMisses - before.CacheMisses),
-		"unknowns":     int64(st.Unknowns - before.Unknowns),
 	}
 	return b, ctx.Err()
 }

@@ -50,9 +50,10 @@ type AnalysisOptions struct {
 	Mode Mode
 	// Exec configures the symbolic engine for the server run.
 	Exec symexec.Options
-	// Solver is shared by the engine and the Trojan checks, and through Run
-	// also answers client extraction and preprocessing, so one verdict cache
-	// serves every phase of a run; defaults to solver.Default().
+	// Solver answers every phase of a run — client extraction,
+	// preprocessing, the engine and the Trojan checks — on one scope of it
+	// (see RunCtx), so one verdict cache serves them all; defaults to
+	// solver.Default().
 	Solver *solver.Solver
 	// SkipConcreteVerification disables the concrete replay of each Trojan
 	// example against the server model. It is forced on when the server
@@ -140,7 +141,7 @@ type Result struct {
 	WitnessHits     int // live-set and Trojan-possible queries answered by a parent model
 	Duration        time.Duration
 	EngineStats     symexec.Stats
-	SolverStats     solver.Stats
+	SolverStats     solver.Stats // the run's own solver work (see Counters)
 }
 
 // Truncated reports whether the server exploration hit Exec.MaxStates with
@@ -215,21 +216,16 @@ type analysis struct {
 	pending []pendingReport
 }
 
-// AnalyzeServerCtx runs the Achilles server phase against a compiled server
-// model and a preprocessed client predicate, under a context. Cancellation
+// analyzeServerCtx runs the Achilles server phase against a compiled server
+// model and a preprocessed client predicate, under a context, on the run's
+// solver scope (RunCtx). Cancellation
 // (or a deadline) aborts the exploration cleanly mid-frontier: the engine
 // stops forking, in-flight solver queries return Unknown, reports whose
 // verification the cancellation degraded are dropped rather than emitted,
 // and the partial result — marked Truncated — is returned together with
 // ctx.Err(). An opts.FirstTrojan early exit uses the same stop path but is
 // not an error: the result is Truncated and err is nil.
-func AnalyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicate, opts AnalysisOptions) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Solver == nil {
-		opts.Solver = solver.Default()
-	}
+func analyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicate, opts AnalysisOptions) (*Result, error) {
 	runCtx, stop := context.WithCancel(ctx)
 	defer stop()
 	a := &analysis{

@@ -61,10 +61,11 @@ type Progress struct {
 	FrontierDepth int
 	// Trojans is the number of Trojan reports confirmed so far.
 	Trojans int
-	// SolverQueries and CacheHitRate snapshot the shared solver: queries
-	// issued in total and the fraction answered from the verdict cache.
-	// When the solver is shared beyond this run (campaigns), both are
-	// cumulative across everything it has seen.
+	// SolverQueries and CacheHitRate snapshot the run's solver scope:
+	// the queries this run has issued so far, client extraction and
+	// preprocessing included, and the fraction answered from the verdict
+	// cache. Runs that share a solver share its cache, so the hit rate
+	// depends on what they asked first; the query count does not.
 	SolverQueries int
 	CacheHitRate  float64
 }

@@ -42,10 +42,13 @@ func classSet(t *testing.T, res *core.Result) []string {
 
 // scheduleFree are the counters of a run that depend only on the fork tree
 // and on solver answers, which depend only on the formula: they must not
-// depend on how the analysis is scheduled.
+// depend on how the analysis is scheduled. The run's solver query count is
+// one; its hit/miss split is not, since which worker solves a key first
+// depends on the schedule.
 type scheduleFree struct {
 	Accepting, Pruned, Filtered, BulkDrops, BindKeyHits, WitnessHits int
 	States, Forks, Steps, SolverCalls, Subsumed, Witnessed           int
+	SolverQueries                                                    int
 	LiveTrace                                                        string
 }
 
@@ -58,6 +61,7 @@ func scheduleFreeOf(r *core.Result) scheduleFree {
 	return scheduleFree{
 		r.AcceptingStates, r.PrunedStates, r.FilteredReports, r.BulkDrops, r.BindKeyHits, r.WitnessHits,
 		es.States, es.Forks, es.Steps, es.SolverCalls, es.Subsumed, es.Witnessed,
+		r.SolverStats.Queries,
 		fmt.Sprint(trace),
 	}
 }

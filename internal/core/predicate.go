@@ -275,9 +275,9 @@ func ExtractClientPredicateCtx(ctx context.Context, clients []ClientProgram, opt
 		opts.Solver = solver.Default()
 	}
 	if opts.Exec.Solver == nil {
-		// Scoped: the client runs share the solver's cache, entries and
-		// counters, but their trees leave with the scope's pointer memo
-		// instead of staying live in the run's until it ends.
+		// Scoped: the client runs share the solver's cache and entries and
+		// count into its counters, but their trees leave with the scope's
+		// pointer memo instead of staying live in the run's until it ends.
 		opts.Exec.Solver = opts.Solver.Scoped()
 	}
 	// Run every client model symbolically — concurrently when Parallelism

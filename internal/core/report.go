@@ -96,11 +96,12 @@ func ClassLines(run *RunResult) []string {
 type Counters map[string]int64
 
 // Counters flattens the analysis result's counters, the engine statistics
-// and a snapshot of the solver statistics, taken when the server analysis
-// ends. The solver_* values count everything the solver has seen: through
-// Run that is the run's client extraction and preprocessing as well as its
-// server phase, and when a solver is shared across runs (as in a campaign)
-// the values are cumulative across them, not per-run.
+// and the run's solver statistics (Result.SolverStats), read when the server
+// analysis ends. The solver_* values count the run's own work, its client
+// extraction and preprocessing included, whatever else shares its solver.
+// solver_queries does not depend on the schedule. On a verdict cache shared
+// with concurrent work, the hit/miss split does: a query another run solves
+// first is a hit here.
 func (r *Result) Counters() Counters {
 	c := Counters{
 		"accepting_states":    int64(r.AcceptingStates),
@@ -134,7 +135,8 @@ func boolCounter(b bool) int64 {
 
 // Counters flattens the counters of a full two-phase run: the analysis
 // counters plus the client-predicate shape and preprocessing work. The
-// solver_* values span both phases (see Result.Counters).
+// solver_* values are the run's own and span both phases (see
+// Result.Counters).
 func (r *RunResult) Counters() Counters {
 	c := r.Analysis.Counters()
 	c["truncated"] = boolCounter(r.Truncated())

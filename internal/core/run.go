@@ -70,6 +70,12 @@ func Run(t Target, opts AnalysisOptions) (*RunResult, error) {
 //
 // An opts.FirstTrojan early exit is not a cancellation: the result is
 // Truncated but err is nil.
+//
+// Every phase runs on one scope of opts.Solver (solver.Solver.Scoped): the
+// scope shares the solver's verdict cache and intern table, so runs on one
+// solver still answer each other's queries, while the trees the run builds
+// leave with the scope's pointer memo and the scope's counters are the
+// run's own solver work (Result.SolverStats).
 func RunCtx(ctx context.Context, t Target, opts AnalysisOptions) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -77,6 +83,7 @@ func RunCtx(ctx context.Context, t Target, opts AnalysisOptions) (*RunResult, er
 	if opts.Solver == nil {
 		opts.Solver = solver.Default()
 	}
+	opts.Solver = opts.Solver.Scoped()
 	out := &RunResult{}
 
 	opts.Observer.phase(PhaseExtract)
@@ -109,7 +116,7 @@ func RunCtx(ctx context.Context, t Target, opts AnalysisOptions) (*RunResult, er
 	opts.Observer.phase(PhaseServer)
 	t2 := time.Now()
 	opts.Exec = t.ServerExec
-	res, err := AnalyzeServerCtx(ctx, t.Server, pc, opts)
+	res, err := analyzeServerCtx(ctx, t.Server, pc, opts)
 	if res == nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -271,5 +272,50 @@ func TestNegotiateSplitsBudget(t *testing.T) {
 	}
 	if sum != 8 {
 		t.Fatalf("grants %v sum to %d, want the full budget 8", grants, sum)
+	}
+}
+
+// TestRunSolverCountsMatchAcrossBackends: every run counts its own solver
+// work, wherever it runs. A fleet campaign at -j 1, at -j 4 and on two
+// workers gives each manifest entry the same solver_queries, and the
+// entries sum to the manifest's queries, which the workers' runs reach too.
+func TestRunSolverCountsMatchAcrossBackends(t *testing.T) {
+	testutil.CheckGoroutineLeak(t)
+	c, err := Start(Config{Workers: 2, spawn: inprocFleet(freshWorkers)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var want map[string]int64
+	for _, s := range []struct {
+		name string
+		opts campaign.Options
+	}{
+		{"j1", campaign.Options{Jobs: 1}},
+		{"j4", campaign.Options{Jobs: 4}},
+		{"workers-2", campaign.Options{Jobs: 4, Executor: c}},
+	} {
+		b, err := campaign.Run(s.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		var sum int64
+		for _, rm := range b.Manifest.Runs {
+			q := rm.Counters["solver_queries"]
+			if rm.Error != "" || q == 0 {
+				t.Fatalf("%s: job %s: error %q, %d solver queries", s.name, rm.Key(), rm.Error, q)
+			}
+			got[rm.Key()] = q
+			sum += q
+		}
+		if q := b.Manifest.Solver["queries"]; q != sum {
+			t.Fatalf("%s: the manifest counts %d queries, its entries %d", s.name, q, sum)
+		}
+		if want == nil {
+			want = got
+		} else if !maps.Equal(got, want) {
+			t.Fatalf("%s: per-run solver_queries %v, want %v as at -j 1", s.name, got, want)
+		}
 	}
 }

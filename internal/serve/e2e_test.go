@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -609,6 +610,47 @@ func TestE2EContentAddressingDedupes(t *testing.T) {
 	}
 	if !d.Empty {
 		t.Fatalf("self-diff not empty: %s", d.Render)
+	}
+}
+
+// TestE2EDedupedJobKeepsItsOwnSolverMap: two identical kv,kv-fixed jobs on
+// one daemon share a stored bundle, which keeps the first job's manifest,
+// while each job's status — the done event and GET /v1/jobs/{id} — carries
+// the job's own solver map: the second asked as many queries as the first
+// and solved none, every one a hit on the warm cache.
+func TestE2EDedupedJobKeepsItsOwnSolverMap(t *testing.T) {
+	_, ts := daemon(t, serve.Config{StoreDir: filepath.Join(t.TempDir(), "store")})
+	var final [2]serve.JobStatus
+	for i := range final {
+		js := submit(t, ts, `{"targets":["kv","kv-fixed"],"parallelism":2}`, "dedupe")
+		final[i] = terminalStatus(t, collectUntilDone(t, streamEvents(t, ts, js.EventsURL, nil), 60*time.Second))
+		if final[i].State != "done" {
+			t.Fatalf("job %s ended %s: %s", final[i].ID, final[i].State, final[i].Error)
+		}
+		var polled serve.JobStatus
+		if code := getJSON(t, ts, "/v1/jobs/"+js.ID, &polled); code != http.StatusOK {
+			t.Fatalf("GET job %s: HTTP %d", js.ID, code)
+		}
+		if !maps.Equal(polled.Solver, final[i].Solver) {
+			t.Fatalf("job %s: status solver map %v, done event %v", js.ID, polled.Solver, final[i].Solver)
+		}
+	}
+	first, second := final[0].Solver, final[1].Solver
+	if final[0].Bundle != final[1].Bundle {
+		t.Fatalf("identical jobs stored %s and %s", final[0].Bundle, final[1].Bundle)
+	}
+	if first["queries"] == 0 || first["cache_misses"] == 0 {
+		t.Fatalf("the first job on a fresh daemon counts no solver work: %v", first)
+	}
+	if second["queries"] != first["queries"] || second["cache_misses"] != 0 {
+		t.Fatalf("the second job counts %v, want queries %d and cache_misses 0", second, first["queries"])
+	}
+	var stored campaign.Manifest
+	if code := getJSON(t, ts, "/v1/bundles/"+final[1].Bundle, &stored); code != http.StatusOK {
+		t.Fatalf("GET bundle: HTTP %d", code)
+	}
+	if !maps.Equal(stored.Solver, first) {
+		t.Fatalf("the stored manifest's solver map %v, want the first job's %v", stored.Solver, first)
 	}
 }
 

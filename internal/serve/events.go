@@ -126,7 +126,9 @@ type trojanEventPayload struct {
 	Verified    bool    `json:"verified"`
 }
 
-// progressEventPayload is a periodic snapshot of a running unit.
+// progressEventPayload is a periodic snapshot of a running unit. Its
+// solver counts are the unit's own (core.Progress); on the daemon's shared
+// verdict cache the hit rate depends on which job asks a key first.
 type progressEventPayload struct {
 	Unit          string  `json:"unit"`
 	Phase         string  `json:"phase"`

@@ -63,7 +63,8 @@ type job struct {
 	started map[string]bool // units whose analysis began
 	runs    []campaign.RunManifest
 	classes int
-	bundle  string // content hash once persisted
+	bundle  string            // content hash once persisted
+	solver  campaign.Counters // the job's own manifest solver map
 }
 
 // UnitStatus is the wire shape of one target×mode unit in a job status.
@@ -87,7 +88,13 @@ type JobStatus struct {
 	Units       []UnitStatus `json:"units,omitempty"`
 	Classes     int          `json:"classes"`
 	Bundle      string       `json:"bundle,omitempty"`
-	Error       string       `json:"error,omitempty"`
+	// Solver is the job's own solver work, the solver map of the manifest
+	// its campaign built. The stored bundle of a job that deduplicated to an
+	// earlier one keeps the earlier job's map; this one is always the job's.
+	// queries does not depend on other jobs; on the daemon's shared verdict
+	// cache the hit/miss split does.
+	Solver campaign.Counters `json:"solver,omitempty"`
+	Error  string            `json:"error,omitempty"`
 	// EventsURL is the SSE endpoint for this job's event stream — see the
 	// events endpoint contract for replay and slow-consumer semantics.
 	EventsURL string `json:"events_url"`
@@ -204,6 +211,7 @@ func (s *Server) finishJob(j *job, b *campaign.Bundle, runErr error) {
 		}
 	}
 	j.state, j.err, j.runs, j.classes, j.bundle = state, jobErr, b.Manifest.Runs, classes, hash
+	j.solver = b.Manifest.Solver
 	j.mu.Unlock()
 
 	switch state {
@@ -243,6 +251,7 @@ func (s *Server) jobStatus(j *job) JobStatus {
 		CreatedAt:   j.created.UTC().Format(time.RFC3339),
 		Classes:     j.classes,
 		Bundle:      j.bundle,
+		Solver:      j.solver,
 		Error:       j.err,
 		EventsURL:   "/v1/jobs/" + j.id + "/events",
 	}

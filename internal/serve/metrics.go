@@ -9,9 +9,9 @@ import (
 // metrics are the daemon's operational counters, exposed in Prometheus text
 // exposition format on /metrics. Gauges (jobs queued/running, the shared
 // solver's interned terms) are read at scrape time; everything else is a
-// monotonic counter. Solver totals come from the shared solver, so they are
-// cumulative across every session the daemon ever ran — exactly what a
-// rate() wants.
+// monotonic counter. Solver totals come from the shared solver, which every
+// job's runs count into through their scopes, so they are cumulative across
+// every session the daemon ever ran — exactly what a rate() wants.
 type metrics struct {
 	jobsDone          atomic.Int64
 	jobsFailed        atomic.Int64
@@ -55,5 +55,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("achillesd_solver_queries_total", "counter", "Queries issued to the shared solver.", int64(st.Queries))
 	write("achillesd_solver_cache_hits_total", "counter", "Solver queries answered from the shared verdict cache.", int64(st.CacheHits))
 	write("achillesd_solver_interned_terms", "gauge", "Structurally distinct expressions held by the shared solver's intern arena.", int64(st.Interned))
-	write("achillesd_solver_memo_resets_total", "counter", "Resets of the shared solver's bounded intern pointer memo.", int64(st.MemoResets))
 }

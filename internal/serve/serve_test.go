@@ -354,11 +354,11 @@ func TestPlanJob(t *testing.T) {
 }
 
 // TestMetricsSolverFootprint: /metrics exports the shared solver's intern
-// arena — its distinct expressions as a gauge, its pointer-memo resets as a
-// counter — as well-formed samples carrying the solver's own Stats.
+// table as a gauge of its distinct expressions and its query total as a
+// counter, as well-formed samples carrying the solver's own Stats.
 func TestMetricsSolverFootprint(t *testing.T) {
 	sol := solver.Default()
-	sol.CheckExpr(expr.Lt(expr.Var("x"), expr.Const(3)))
+	sol.Check([]*expr.Expr{expr.Lt(expr.Var("x"), expr.Const(3))})
 	s, err := New(Config{StoreDir: filepath.Join(t.TempDir(), "store"), Solver: sol})
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +391,7 @@ func TestMetricsSolverFootprint(t *testing.T) {
 		want       int64
 	}{
 		{"achillesd_solver_interned_terms", "gauge", int64(st.Interned)},
-		{"achillesd_solver_memo_resets_total", "counter", int64(st.MemoResets)},
+		{"achillesd_solver_queries_total", "counter", int64(st.Queries)},
 	} {
 		got, ok := samples[m.name]
 		if !ok || got != m.want || types[m.name] != m.kind {

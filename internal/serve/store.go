@@ -44,8 +44,8 @@ func newStore(dir string) (*Store, error) {
 // A bundle already present (same address, complete manifest) is reused
 // as-is; a partial leftover from a crashed write is replaced. A reused
 // bundle keeps the first job's manifest, its solver map and wall_ms
-// included; a later job's own unit outcomes and wall times are in its job
-// status (GET /v1/jobs/{id}).
+// included; a later job's own unit outcomes, wall times and solver map are
+// in its job status (GET /v1/jobs/{id}).
 func (st *Store) Put(b *campaign.Bundle) (string, error) {
 	h, err := b.ContentHash()
 	if err != nil {

@@ -82,3 +82,17 @@ func CachedQueries(s *Solver) ([]CachedQuery, error) {
 	}
 	return out, nil
 }
+
+// memoEntries counts the pointers the memo currently holds.
+func (a *internArena) memoEntries() int {
+	n := 0
+	a.byPtr.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// MemoLen reports the number of expression pointers in s's own pointer
+// memo; the memos of scopes taken from s are not counted.
+func MemoLen(s *Solver) int { return s.arena.memoEntries() }

@@ -26,13 +26,11 @@ package solver
 // entry and an entry can never alias two distinct expressions. In front of
 // them sits a pointer memo (path-constraint slices share expression pointers
 // across sibling states, so it hits almost always). The memo keeps every
-// pointer it holds alive, and every job on a long-lived solver (a daemon's,
-// a campaign's) builds fresh trees, so the memo is cleared once it has taken
-// memoCap new entries. A reset costs time only: a cleared pointer re-resolves
-// through the hash buckets to the same entry — same ID, linearisation and
-// ckeyID — so no verdict, model, cache key or feasible-memo key can change.
-// A scoped solver (Solver.Scoped) resolves through the same buckets with a
-// memo of its own, which goes when the scoped solver does.
+// pointer it holds alive, and nothing bounds it: each analysis run interns
+// on a scope of its solver (Solver.Scoped), which resolves through the same
+// buckets to the same entries with a memo of its own, so a run's trees go
+// with its scope instead of staying live in the memo of a solver that
+// outlives the run (a daemon's, a campaign's).
 
 import (
 	"sync"
@@ -40,11 +38,6 @@ import (
 
 	"achilles/internal/expr"
 )
-
-// memoCap bounds the pointer memo. A whole audit on a fresh solver (the fleet
-// campaign, the rich FSP corpus) stores about 9k entries, so only solvers
-// that outlive an audit ever reset it.
-const memoCap = 1 << 14
 
 // internEntry is the canonical per-solver record of one structurally
 // distinct expression. Immutable after construction, except that neg and
@@ -80,8 +73,7 @@ type splitPart struct {
 // the pointer memo is a sync.Map (lock-free hits), creation and structural
 // unification run under one mutex.
 type internArena struct {
-	byPtr   sync.Map     // *expr.Expr -> *internEntry, bounded by memoCap
-	memoLen atomic.Int64 // entries stored in byPtr since its last reset
+	byPtr sync.Map // *expr.Expr -> *internEntry
 	*internTable
 }
 
@@ -90,7 +82,6 @@ type internArena struct {
 // keeps a pointer memo of its own, so both resolve every tree to the same
 // entries.
 type internTable struct {
-	resets atomic.Int64 // memo resets of every arena on the table, reported as Stats.MemoResets
 	mu     sync.Mutex
 	byHash map[uint64][]*internEntry
 	nextID uint64
@@ -123,7 +114,7 @@ func (a *internArena) intern(e *expr.Expr) *internEntry {
 			a.mu.Unlock()
 			// Remember this alias pointer too: the next lookup through the
 			// same tree is then lock-free.
-			a.remember(e, en)
+			a.byPtr.Store(e, en)
 			return en
 		}
 	}
@@ -141,21 +132,8 @@ func (a *internArena) intern(e *expr.Expr) *internEntry {
 	en.vars = expr.Vars(e)
 	a.byHash[h] = append(a.byHash[h], en)
 	a.mu.Unlock()
-	a.remember(e, en)
+	a.byPtr.Store(e, en)
 	return en
-}
-
-// remember memoises e's entry. Only a store that adds an entry counts
-// towards memoCap — goroutines racing to store one alias count it once — and
-// the store that passes the cap clears the memo.
-func (a *internArena) remember(e *expr.Expr, en *internEntry) {
-	if _, loaded := a.byPtr.LoadOrStore(e, en); loaded {
-		return
-	}
-	if n := a.memoLen.Add(1); n > memoCap && a.memoLen.CompareAndSwap(n, 0) {
-		a.byPtr.Clear()
-		a.resets.Add(1)
-	}
 }
 
 // negation returns the entry of expr.Not(en.e). Prefix.Implies asks for the

@@ -1,11 +1,9 @@
 package solver
 
-// White-box tests for the intern arena's bounded pointer memo: a solver fed
-// fresh trees of the same formulas round after round must reset the memo
-// before it outgrows memoCap, and the resets must be invisible — the same
-// entry IDs, the same number of distinct expressions, and the same verdicts,
-// models, cache keys and subsumption answers as a solver whose memo never
-// reset.
+// White-box tests for solver scopes (Solver.Scoped): a scope must answer,
+// key and number entries as its parent would while keeping its own pointer
+// memo, and sibling scopes must each count their own work while their
+// parent counts the sum.
 
 import (
 	"context"
@@ -17,16 +15,6 @@ import (
 
 	"achilles/internal/expr"
 )
-
-// memoEntries counts the pointers the memo currently holds.
-func (a *internArena) memoEntries() int {
-	n := 0
-	a.byPtr.Range(func(_, _ any) bool {
-		n++
-		return true
-	})
-	return n
-}
 
 // memoOutcome is everything one query's answers can take from the arena.
 type memoOutcome struct {
@@ -76,54 +64,6 @@ func entryIDs(s *Solver, qs [][]*expr.Expr) []uint64 {
 	return ids
 }
 
-// TestInternMemoBound feeds one solver fresh trees of a fixed formula set
-// until its memo has reset twice, against a reference solver that is asked
-// the same formulas through one set of pointers and so never resets.
-func TestInternMemoBound(t *testing.T) {
-	const maxRounds = 1000
-	s := Default()
-	ref := Default()
-	want := askMemo(ref, trojanShapedQueries())
-
-	var ids []uint64
-	interned := 0
-	for round := 0; s.Stats().MemoResets < 2; round++ {
-		if round == maxRounds {
-			t.Fatalf("memo not reset twice in %d rounds (stats %+v)", maxRounds, s.Stats())
-		}
-		qs := trojanShapedQueries()
-		if err := sameOutcomes(askMemo(s, qs), want); err != nil {
-			t.Fatalf("round %d (%d resets): %v", round, s.Stats().MemoResets, err)
-		}
-		got := entryIDs(s, qs)
-		if round == 0 {
-			ids, interned = got, s.Stats().Interned
-		} else {
-			if !slices.Equal(got, ids) {
-				t.Fatalf("round %d (%d resets): entry IDs drifted:\n got %v\nwant %v", round, s.Stats().MemoResets, got, ids)
-			}
-			if n := s.Stats().Interned; n != interned {
-				t.Fatalf("round %d: %d interned expressions, want %d", round, n, interned)
-			}
-		}
-		if n := s.arena.memoEntries(); n > memoCap {
-			t.Fatalf("round %d: memo holds %d entries, cap %d", round, n, memoCap)
-		}
-	}
-	if st := ref.Stats(); st.MemoResets != 0 {
-		t.Fatalf("reference solver reset its memo: %+v", st)
-	}
-	if refIDs := entryIDs(ref, trojanShapedQueries()); !slices.Equal(refIDs, ids) {
-		t.Fatal("bounded and reference solvers numbered the same formulas differently")
-	}
-
-	// ResetStats zeroes the reset counter with the others.
-	s.ResetStats()
-	if st := s.Stats(); st.MemoResets != 0 {
-		t.Fatalf("ResetStats left MemoResets at %d", st.MemoResets)
-	}
-}
-
 // TestScopedSolverSharesAllButMemo holds Solver.Scoped: a scoped solver
 // answers as its parent would, counts into the parent's statistics and
 // fills the parent's verdict cache and intern table, while the pointers it
@@ -157,52 +97,69 @@ func TestScopedSolverSharesAllButMemo(t *testing.T) {
 	}
 }
 
-// TestInternMemoBoundConcurrent interns fresh trees from 8 goroutines sharing
-// one solver, for enough rounds to reset the memo several times while other
-// goroutines are mid-lookup: every alias must keep resolving to its entry and
-// every answer must match the single-threaded one. Run under -race in CI.
-func TestInternMemoBoundConcurrent(t *testing.T) {
+// TestSiblingScopesCountTheirOwnWork queries one solver from 8 goroutines,
+// each through a scope of its own and, for every other query, through a
+// nested scope of that one, as a run's client extraction does. Each scope
+// must count exactly the queries asked through it and its nested scope, and
+// every counter of the parent, which asks nothing itself, must be the sum
+// over its scopes. Run under -race in CI.
+func TestSiblingScopesCountTheirOwnWork(t *testing.T) {
 	const workers = 8
 	s := Default()
-	base := trojanShapedQueries()
-	want := askMemo(s, base)
-	ids := entryIDs(s, base)
-	interned := s.Stats().Interned
-	// A round stores one fresh memo entry per top-level constraint.
-	rounds := 3*memoCap/(workers*len(ids)) + 1
-
+	scopes := make([]*Solver, workers)
+	asked := make([]int, workers)
 	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
+	for w := range scopes {
+		scopes[w] = s.Scoped()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				qs := trojanShapedQueries()
-				if got := entryIDs(s, qs); !slices.Equal(got, ids) {
-					errc <- fmt.Errorf("worker %d round %d: entry IDs drifted", w, r)
-					return
-				}
-				if err := sameOutcomes(askMemo(s, qs), want); err != nil {
-					errc <- fmt.Errorf("worker %d round %d: %v", w, r, err)
-					return
+			sc := scopes[w]
+			nested := sc.Scoped()
+			// Scope w asks the query set w+1 times, so no two scopes ask as
+			// many queries and a count that leaks between siblings shows.
+			for r := 0; r <= w; r++ {
+				for i, q := range trojanShapedQueries() {
+					on := sc
+					if i%2 == 1 {
+						on = nested
+					}
+					on.Check(q)
+					on.CheckPrefixCtx(context.Background(), on.NewPrefix().Extend(q[0]), q[1:]...)
+					asked[w] += 2
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
+
+	var sum Stats
+	for w, sc := range scopes {
+		st := sc.Stats()
+		if st.Queries != asked[w] {
+			t.Errorf("scope %d counts %d queries, it asked %d", w, st.Queries, asked[w])
+		}
+		if st.CacheHits+st.CacheMisses != st.Queries {
+			t.Errorf("scope %d: %d hits + %d misses != %d queries", w, st.CacheHits, st.CacheMisses, st.Queries)
+		}
+		sum.Queries += st.Queries
+		sum.Decisions += st.Decisions
+		sum.Propagations += st.Propagations
+		sum.Splits += st.Splits
+		sum.Verified += st.Verified
+		sum.Unknowns += st.Unknowns
+		sum.CacheHits += st.CacheHits
+		sum.CacheMisses += st.CacheMisses
+		sum.FeasibleHits += st.FeasibleHits
+		sum.RoundCaps += st.RoundCaps
 	}
 	st := s.Stats()
-	if st.MemoResets == 0 {
-		t.Fatalf("%d workers x %d rounds never reset the memo (stats %+v)", workers, rounds, st)
+	if st.Interned == 0 || st.Decisions == 0 || st.CacheMisses == 0 || st.CacheHits == 0 {
+		t.Fatalf("the scopes did too little work to compare: %+v", st)
 	}
-	if st.Interned != interned {
-		t.Fatalf("%d interned expressions after the rounds, want %d", st.Interned, interned)
-	}
-	if n := s.arena.memoEntries(); n > memoCap {
-		t.Fatalf("memo holds %d entries, cap %d", n, memoCap)
+	// Interned is the size of the table the scopes share, not a count.
+	sum.Interned = st.Interned
+	if st != sum {
+		t.Fatalf("parent counts %+v, the sum over its scopes is %+v", st, sum)
 	}
 }

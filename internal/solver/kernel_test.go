@@ -77,8 +77,4 @@ func TestPropagationRoundCap(t *testing.T) {
 	if got := s.Stats().RoundCaps; got != 1 {
 		t.Fatalf("a bounded chain hit the round cap: RoundCaps = %d, want 1", got)
 	}
-	s.ResetStats()
-	if got := s.Stats().RoundCaps; got != 0 {
-		t.Fatalf("RoundCaps = %d after ResetStats", got)
-	}
 }

@@ -1,11 +1,11 @@
-package campaign
+package solver_test
 
-// Long-lived solvers. The solver's intern arena bounds its pointer memo
-// (internal/solver/intern.go), so a solver that serves many jobs — the
-// daemon's, a campaign's across all its jobs, a long-lived achilles-worker's
-// — resets the memo now and then. These tests pin both sides of the bound:
-// resets never change a class set, and an audit on a fresh solver never
-// reaches the bound.
+// Long-lived solvers. Every analysis run interns on a scope of its solver
+// (core.RunCtx), so a solver that serves many jobs — the daemon's, a
+// campaign's across all its jobs, a long-lived achilles-worker's — keeps no
+// run's trees in its own pointer memo. These tests hold that after any
+// number of runs the root memo is empty, and that the shared verdict cache
+// and intern table never change a class set.
 
 import (
 	"context"
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"achilles"
+	"achilles/internal/campaign"
 	"achilles/internal/core"
 	"achilles/internal/protocols/fsp"
 	"achilles/internal/protocols/registry"
@@ -44,7 +45,8 @@ func classSet(lines []string) string {
 // TestLongLivedSolverMatchesGoldens pushes achillesd's benchmark job mix —
 // the kv pair twice, the nine-target catalog, fsp in optimized and
 // a-posteriori mode — through one solver for 40 rounds. Every round must
-// reproduce the goldens, and the memo must have been reset on the way.
+// reproduce the goldens, and the solver's own pointer memo must hold no
+// pointer at the end: each run's trees went with its scope.
 func TestLongLivedSolverMatchesGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("600 jobs through one solver: skipped under -short")
@@ -53,11 +55,11 @@ func TestLongLivedSolverMatchesGoldens(t *testing.T) {
 	names := []string{"kv", "kv-fixed", "kv", "kv-fixed",
 		"raft", "raft-fixed", "pbft", "pbft-fixed", "paxos", "paxos-fixed", "paxos-concrete",
 		"noisehs", "noisehs-fixed", "fsp"}
-	var mix []Job
+	var mix []campaign.Job
 	for _, name := range names {
-		mix = append(mix, Job{Target: name, Mode: core.ModeOptimized})
+		mix = append(mix, campaign.Job{Target: name, Mode: core.ModeOptimized})
 	}
-	mix = append(mix, Job{Target: "fsp", Mode: core.ModeAPosteriori})
+	mix = append(mix, campaign.Job{Target: "fsp", Mode: core.ModeAPosteriori})
 	want := map[string]string{}
 	for _, j := range mix {
 		want[j.Target] = golden(t, j.Target)
@@ -66,7 +68,7 @@ func TestLongLivedSolverMatchesGoldens(t *testing.T) {
 	sol := solver.Default()
 	for r := 0; r < rounds; r++ {
 		for _, j := range mix {
-			rm, reps := ExecuteJob(context.Background(), j, 2, sol, core.Observer{})
+			rm, reps := campaign.ExecuteJob(context.Background(), j, 2, sol, core.Observer{})
 			if rm.Error != "" || rm.Truncated {
 				t.Fatalf("round %d: %s: error %q, truncated %v", r, j.Key(), rm.Error, rm.Truncated)
 			}
@@ -79,22 +81,24 @@ func TestLongLivedSolverMatchesGoldens(t *testing.T) {
 			}
 			slices.Sort(lines)
 			if got := classSet(lines); got != want[j.Target] {
-				t.Fatalf("round %d (%d memo resets): %s diverged from %s.golden\n--- golden ---\n%s--- got ---\n%s",
-					r, sol.Stats().MemoResets, j.Key(), j.Target, want[j.Target], got)
+				t.Fatalf("round %d: %s diverged from %s.golden\n--- golden ---\n%s--- got ---\n%s",
+					r, j.Key(), j.Target, want[j.Target], got)
 			}
 		}
 	}
-	if st := sol.Stats(); st.MemoResets == 0 {
-		t.Fatalf("%d rounds through one solver never reset its memo: %+v", rounds, st)
+	if st := sol.Stats(); st.Interned == 0 || st.CacheHits == 0 {
+		t.Fatalf("the runs never reached the shared table and cache: %+v", st)
+	}
+	if n := solver.MemoLen(sol); n != 0 {
+		t.Fatalf("%d rounds left %d pointers in the solver's own memo, want 0", rounds, n)
 	}
 }
 
-// TestFreshSolverAuditsStayUnderMemoBound pins the other side: a whole audit
-// on a fresh solver — the fleet campaign at -j 2, an fsp-rich session —
-// never resets the memo, so those paths keep the hot path they always had.
-func TestFreshSolverAuditsStayUnderMemoBound(t *testing.T) {
+// TestAuditsLeaveRootMemoEmpty holds the same on the other two paths that
+// take a caller's solver: a fleet campaign at -j 2 and an fsp-rich session.
+func TestAuditsLeaveRootMemoEmpty(t *testing.T) {
 	fleet := solver.Default()
-	b, err := RunCtx(context.Background(), Options{Jobs: 2, Solver: fleet})
+	b, err := campaign.RunCtx(context.Background(), campaign.Options{Jobs: 2, Solver: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +110,8 @@ func TestFreshSolverAuditsStayUnderMemoBound(t *testing.T) {
 			t.Fatalf("job %s failed: %s", rm.Key(), rm.Error)
 		}
 	}
-	if st := fleet.Stats(); st.MemoResets != 0 {
-		t.Fatalf("the fleet campaign reset the memo: %+v", st)
+	if n := solver.MemoLen(fleet); n != 0 {
+		t.Fatalf("the fleet campaign left %d pointers in its solver's memo", n)
 	}
 
 	rich := solver.Default()
@@ -125,30 +129,7 @@ func TestFreshSolverAuditsStayUnderMemoBound(t *testing.T) {
 	if got, want := classSet(core.ClassLines(run)), golden(t, "fsp"); got != want {
 		t.Fatalf("fsp-rich diverged from fsp.golden:\n%s", got)
 	}
-	if st := rich.Stats(); st.MemoResets != 0 {
-		t.Fatalf("the fsp-rich session reset the memo: %+v", st)
-	}
-}
-
-// TestManifestCountsOnlyItsOwnSolverWork runs the kv pair twice on one
-// solver, as achillesd runs its jobs: the second manifest must count its own
-// queries — as many as the first run asked, every one answered from the warm
-// cache — not the solver's totals since it was built.
-func TestManifestCountsOnlyItsOwnSolverWork(t *testing.T) {
-	opts := Options{Targets: []string{"kv", "kv-fixed"}, Jobs: 1, Solver: solver.Default()}
-	first, err := RunCtx(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunCtx(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := first.Manifest.Solver, second.Manifest.Solver
-	if want["queries"] == 0 || want["cache_misses"] == 0 {
-		t.Fatalf("first run on a fresh solver counts no solver work: %v", want)
-	}
-	if got["queries"] != want["queries"] || got["cache_misses"] != 0 {
-		t.Fatalf("second run counts %v, want queries %d and cache_misses 0", got, want["queries"])
+	if n := solver.MemoLen(rich); n != 0 {
+		t.Fatalf("the fsp-rich session left %d pointers in its solver's memo", n)
 	}
 }

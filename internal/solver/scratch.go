@@ -16,9 +16,9 @@ package solver
 //   - env is the verification env; a Sat model is a fresh copy of it.
 //
 // A query's work counters accumulate in its tally and reach the solver's
-// atomic totals when the query ends and every 64 decisions inside a search.
-// The reference's states carry no scratch (reference.go), so their counts
-// go to the totals directly.
+// atomic counters when the query ends and every 64 decisions inside a
+// search. The reference's states carry no scratch (reference.go), so their
+// counts go to the counters directly.
 //
 // The pointer-holding buffers are cleared before a scratch returns to the
 // pool, so a pooled buffer keeps no finished query's trees, or a discarded
@@ -30,21 +30,9 @@ import (
 	"achilles/internal/expr"
 )
 
-// work indexes the per-query work counters a tally batches.
-type work int
-
-const (
-	wDecisions    work = iota // Stats.Decisions
-	wPropagations             // Stats.Propagations
-	wSplits                   // Stats.Splits
-	wVerified                 // Stats.Verified
-	wFeasibleHits             // Stats.FeasibleHits
-	wRoundCaps                // Stats.RoundCaps
-	nWork
-)
-
-// tally is one query's not yet published work.
-type tally [nWork]int64
+// tally is one query's not yet published work, indexed like counters; a
+// query tallies only its work counters (Decisions through RoundCaps).
+type tally [nCounters]int64
 
 // scratch is the reusable working memory of one query (see the file
 // comment). It is used by one goroutine at a time.
@@ -90,21 +78,21 @@ func putScratch(sc *scratch) {
 	scratchPool.Put(sc)
 }
 
-// add counts one unit of work w: in the state's query tally, or straight
-// in the solver's totals for a reference state, which has no scratch.
-func (s *Solver) add(cs *conjState, w work) {
+// add counts one unit of work k: in the state's query tally, or straight
+// in the solver's counters for a reference state, which has no scratch.
+func (s *Solver) add(cs *conjState, k counter) {
 	if cs.sc != nil {
-		cs.sc.tally[w]++
+		cs.sc.tally[k]++
 		return
 	}
-	s.stats.work[w].Add(1)
+	s.stats.add(k, 1)
 }
 
-// flush publishes a tally to the solver's totals and zeroes it.
+// flush publishes a tally to the solver's counters and zeroes it.
 func (s *Solver) flush(t *tally) {
-	for w, n := range t {
+	for k, n := range t {
 		if n != 0 {
-			s.stats.work[w].Add(n)
+			s.stats.add(counter(k), n)
 		}
 	}
 	*t = tally{}

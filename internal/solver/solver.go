@@ -81,13 +81,19 @@ func (r Result) String() string {
 	}
 }
 
-// Stats accumulates counters across queries; read them for the evaluation
-// harness, reset them with ResetStats. A query publishes its work counters
-// (Decisions, Propagations, Splits, Verified, FeasibleHits, RoundCaps) when
-// it ends and, while it searches, every 64 decisions: a live read can lag a
-// running query by fewer than 64 decisions, and by the split-tree work done
-// since the query last published. Once every query has returned, the
-// totals are exact.
+// Stats accumulates counters across queries. A solver counts the queries
+// asked through it and through every scope taken from it (Scoped), so a
+// root's Stats are its process-wide totals and a scope's are its own work.
+// A query publishes its work counters (Decisions, Propagations, Splits,
+// Verified, FeasibleHits, RoundCaps) when it ends and, while it searches,
+// every 64 decisions: a live read can lag a running query by fewer than 64
+// decisions, and by the split-tree work done since the query last
+// published. Once every query has returned, the totals are exact.
+//
+// Queries does not depend on how queries are scheduled. On a verdict cache
+// shared by concurrent queries, the hit/miss split and the search counters
+// do: a query that another solves first is a hit, and the solver that
+// solved it counts the search.
 type Stats struct {
 	Queries      int // Check calls
 	Decisions    int // variable assignments tried
@@ -99,14 +105,11 @@ type Stats struct {
 	CacheMisses  int // queries that had to be solved
 
 	// Fast-path counters (see intern.go, learn.go): Interned is the number
-	// of structurally distinct expressions in the arena, FeasibleHits the
-	// number of split-node feasibility gates answered "not refuted" from
-	// the memo, and MemoResets the number of times the arena's bounded
-	// pointer memo was cleared (only a solver that outlives one audit
-	// reaches the bound).
+	// of structurally distinct expressions in the intern table, which a
+	// solver shares with all its scopes, and FeasibleHits the number of
+	// split-node feasibility gates answered "not refuted" from the memo.
 	Interned     int
 	FeasibleHits int
-	MemoResets   int
 
 	// LearnedSets and LearnedHits are retired and always read 0: the
 	// solver keeps no index of refuted conjunctions. The fields stay for
@@ -120,15 +123,41 @@ type Stats struct {
 	RoundCaps int
 }
 
-// counters is the internal, concurrency-safe representation of Stats. work
-// holds the totals that queries publish from their tallies (scratch.go).
+// counter indexes the statistics a solver keeps, which are the Stats
+// fields but Interned and the retired ones.
+type counter int
+
+const (
+	cQueries      counter = iota // Stats.Queries
+	cUnknowns                    // Stats.Unknowns
+	cCacheHits                   // Stats.CacheHits
+	cCacheMisses                 // Stats.CacheMisses
+	cDecisions                   // Stats.Decisions
+	cPropagations                // Stats.Propagations
+	cSplits                      // Stats.Splits
+	cVerified                    // Stats.Verified
+	cFeasibleHits                // Stats.FeasibleHits
+	cRoundCaps                   // Stats.RoundCaps
+	nCounters
+)
+
+// counters is the concurrency-safe representation of Stats for one solver
+// or scope. parent is the counters of the solver a scope was taken from:
+// every add reaches it too, and through it the root's.
 type counters struct {
-	queries     atomic.Int64
-	unknowns    atomic.Int64
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	work        [nWork]atomic.Int64
+	n      [nCounters]atomic.Int64
+	parent *counters
 }
+
+// add counts n of k here and in every ancestor.
+func (c *counters) add(k counter, n int64) {
+	for ; c != nil; c = c.parent {
+		c.n[k].Add(n)
+	}
+}
+
+// get reads the count of k.
+func (c *counters) get(k counter) int { return int(c.n[k].Load()) }
 
 // Options configure a Solver.
 type Options struct {
@@ -174,16 +203,19 @@ func New(opts Options) *Solver {
 	return s
 }
 
-// Scoped returns a solver that shares s's verdict cache and its single
-// flight, intern entries, feasible memo and statistics, but keeps its own
-// expression-pointer memo. Every answer, cache key and counter is the one
-// s would give. Engines whose trees nothing looks up once they return
-// (core's client extraction) run on a scoped solver, so those trees are
-// garbage when it goes, instead of staying live in s's memo until s goes
-// or the memo passes its bound.
+// Scoped returns a scope of s: a solver that shares s's verdict cache and
+// its single flight, intern table and feasible memo, and keeps its own
+// expression-pointer memo and counters. Every answer and cache key is the
+// one s would give. The scope counts from zero, and each count it takes
+// also reaches s, so s's Stats stay its totals. core.RunCtx runs every
+// analysis on a scope of its solver and client extraction on a scope of
+// that: the trees a run builds are garbage when its scope goes, instead of
+// staying live in the pointer memo of a solver that outlives the run, and
+// the scope's Stats are the run's own work.
 func (s *Solver) Scoped() *Solver {
 	c := *s
 	c.arena = s.arena.scoped()
+	c.stats = &counters{parent: s.stats}
 	return &c
 }
 
@@ -192,33 +224,20 @@ func Default() *Solver { return New(Options{}) }
 
 // Stats returns a copy of the accumulated statistics.
 func (s *Solver) Stats() Stats {
+	c := s.stats
 	return Stats{
-		Queries:      int(s.stats.queries.Load()),
-		Decisions:    int(s.stats.work[wDecisions].Load()),
-		Propagations: int(s.stats.work[wPropagations].Load()),
-		Splits:       int(s.stats.work[wSplits].Load()),
-		Verified:     int(s.stats.work[wVerified].Load()),
-		Unknowns:     int(s.stats.unknowns.Load()),
-		CacheHits:    int(s.stats.cacheHits.Load()),
-		CacheMisses:  int(s.stats.cacheMisses.Load()),
-
+		Queries:      c.get(cQueries),
+		Decisions:    c.get(cDecisions),
+		Propagations: c.get(cPropagations),
+		Splits:       c.get(cSplits),
+		Verified:     c.get(cVerified),
+		Unknowns:     c.get(cUnknowns),
+		CacheHits:    c.get(cCacheHits),
+		CacheMisses:  c.get(cCacheMisses),
 		Interned:     s.arena.size(),
-		FeasibleHits: int(s.stats.work[wFeasibleHits].Load()),
-		MemoResets:   int(s.arena.resets.Load()),
-		RoundCaps:    int(s.stats.work[wRoundCaps].Load()),
+		FeasibleHits: c.get(cFeasibleHits),
+		RoundCaps:    c.get(cRoundCaps),
 	}
-}
-
-// ResetStats zeroes the statistics counters.
-func (s *Solver) ResetStats() {
-	s.stats.queries.Store(0)
-	s.stats.unknowns.Store(0)
-	s.stats.cacheHits.Store(0)
-	s.stats.cacheMisses.Store(0)
-	for w := range s.stats.work {
-		s.stats.work[w].Store(0)
-	}
-	s.arena.resets.Store(0)
 }
 
 // satLimit is the saturation bound for interval arithmetic: all domain
@@ -268,7 +287,7 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 	if p == nil {
 		p = emptyPrefix
 	}
-	s.stats.queries.Add(1)
+	s.stats.add(cQueries, 1)
 	// The entries and the key live on the stack unless a query outgrows
 	// them, so a cache hit allocates nothing.
 	var small [32]*internEntry
@@ -282,10 +301,10 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 		ent, ok, f, leader := s.cache.claim(key)
 		switch {
 		case ok:
-			s.stats.cacheHits.Add(1)
+			s.stats.add(cCacheHits, 1)
 			return ent.res, ent.model
 		case leader:
-			s.stats.cacheMisses.Add(1)
+			s.stats.add(cCacheMisses, 1)
 			res, model := s.check(ctx, p, ens)
 			if ctx.Err() != nil && res == Unknown {
 				// Aborted mid-search: the Unknown reflects the cancellation,
@@ -302,12 +321,12 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 		select {
 		case <-f.done:
 			if f.settled {
-				s.stats.cacheHits.Add(1)
+				s.stats.add(cCacheHits, 1)
 				return f.v.res, f.v.model
 			}
 		case <-ctx.Done():
-			s.stats.cacheMisses.Add(1)
-			s.stats.unknowns.Add(1)
+			s.stats.add(cCacheMisses, 1)
+			s.stats.add(cUnknowns, 1)
 			return Unknown, nil
 		}
 	}
@@ -324,7 +343,7 @@ func (s *Solver) check(ctx context.Context, p *Prefix, ens []*internEntry) (Resu
 	s.flush(&sc.tally)
 	putScratch(sc)
 	if res == Unknown {
-		s.stats.unknowns.Add(1)
+		s.stats.add(cUnknowns, 1)
 	}
 	return res, model
 }
@@ -341,11 +360,6 @@ func (s *Solver) checkOn(ctx context.Context, sc *scratch, p *Prefix, ens []*int
 	}
 	budget := s.opts.MaxDecisions
 	return s.solve(ctx, sc, len(sc.conj), 0, len(sc.disj), &budget)
-}
-
-// CheckExpr decides a single (possibly compound) boolean expression.
-func (s *Solver) CheckExpr(e *expr.Expr) (Result, expr.Env) {
-	return s.Check([]*expr.Expr{e})
 }
 
 // flattenInto splits e into conjunctive atoms (comparisons, non-linear
@@ -425,7 +439,7 @@ func (s *Solver) solve(ctx context.Context, sc *scratch, nc, di, nd int, budget 
 		if *budget <= 0 {
 			return Unknown, nil
 		}
-		sc.tally[wSplits]++
+		sc.tally[cSplits]++
 		p := s.part(l, i)
 		if !p.ok {
 			continue
@@ -595,7 +609,7 @@ func (s *Solver) feasible(sc *scratch, conj []*internEntry) bool {
 	// verdicts.
 	key := sc.atomSetKey(conj)
 	if s.propOK.has(key) {
-		sc.tally[wFeasibleHits]++
+		sc.tally[cFeasibleHits]++
 		return true
 	}
 	cs := sc.conjState(conj)
@@ -656,7 +670,7 @@ func (s *Solver) propagate(cs *conjState) bool {
 			return true
 		}
 	}
-	s.add(cs, wRoundCaps)
+	s.add(cs, cRoundCaps)
 	return true
 }
 
@@ -709,7 +723,7 @@ func (cs *conjState) setDomain(sl int32, iv interval) (bool, bool) {
 // propagateAtom tightens domains using one linear atom whose variables sit
 // at slots. Atom form: sum(coeff_i * x_i) + c  OP  0 with OP in {<=, ==, !=}.
 func (s *Solver) propagateAtom(cs *conjState, a *linAtom, slots []int32) (ok, changed bool) {
-	s.add(cs, wPropagations)
+	s.add(cs, cPropagations)
 	// Partition into pinned and free, folding pinned values into c.
 	c := a.c
 	free := cs.free[:0]
@@ -911,7 +925,7 @@ func (s *Solver) search(ctx context.Context, cs *conjState, budget *int) (Result
 			}
 		}
 		*budget--
-		s.add(cs, wDecisions)
+		s.add(cs, cDecisions)
 		copy(child.dom, cs.dom)
 		child.dom[best] = interval{v, v}
 		if !s.propagate(&child) {
@@ -962,7 +976,7 @@ func (s *Solver) finish(cs *conjState) (Result, expr.Env) {
 	for i, v := range cs.vars {
 		env[v] = cs.dom[i].lo
 	}
-	s.add(cs, wVerified)
+	s.add(cs, cVerified)
 	for _, a := range cs.orig {
 		v, err := expr.EvalBool(a, env)
 		if err != nil || !v {

@@ -243,9 +243,14 @@ func TestStatsAccumulate(t *testing.T) {
 	if s.Stats().Queries != 2 {
 		t.Fatalf("queries = %d", s.Stats().Queries)
 	}
-	s.ResetStats()
-	if s.Stats().Queries != 0 {
-		t.Fatal("reset failed")
+	// A scope counts from zero, and its queries reach its parent too.
+	sc := s.Scoped()
+	if sc.Stats().Queries != 0 {
+		t.Fatalf("a fresh scope counts %d queries", sc.Stats().Queries)
+	}
+	sc.Check([]*expr.Expr{expr.Eq(x, c(7))})
+	if sc.Stats().Queries != 1 || s.Stats().Queries != 3 {
+		t.Fatalf("scope counts %d queries and its parent %d, want 1 and 3", sc.Stats().Queries, s.Stats().Queries)
 	}
 }
 
