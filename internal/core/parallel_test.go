@@ -43,12 +43,13 @@ func classSet(t *testing.T, res *core.Result) []string {
 // scheduleFree are the counters of a run that depend only on the fork tree
 // and on solver answers, which depend only on the formula: they must not
 // depend on how the analysis is scheduled. The run's solver query count is
-// one; its hit/miss split is not, since which worker solves a key first
-// depends on the schedule.
+// one, and so is its Unknown count, which counts every Unknown answer
+// however it was reached; its hit/miss split is not, since which worker
+// solves a key first depends on the schedule.
 type scheduleFree struct {
 	Accepting, Pruned, Filtered, BulkDrops, BindKeyHits, WitnessHits int
 	States, Forks, Steps, SolverCalls, Subsumed, Witnessed           int
-	SolverQueries                                                    int
+	SolverQueries, SolverUnknowns                                    int
 	LiveTrace                                                        string
 }
 
@@ -61,7 +62,7 @@ func scheduleFreeOf(r *core.Result) scheduleFree {
 	return scheduleFree{
 		r.AcceptingStates, r.PrunedStates, r.FilteredReports, r.BulkDrops, r.BindKeyHits, r.WitnessHits,
 		es.States, es.Forks, es.Steps, es.SolverCalls, es.Subsumed, es.Witnessed,
-		r.SolverStats.Queries,
+		r.SolverStats.Queries, r.SolverStats.Unknowns,
 		fmt.Sprint(trace),
 	}
 }

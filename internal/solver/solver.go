@@ -100,7 +100,7 @@ type Stats struct {
 	Propagations int // domain-tightening steps
 	Splits       int // disjunction branches explored
 	Verified     int // full models verified
-	Unknowns     int // queries answered Unknown
+	Unknowns     int // queries answered Unknown, however answered (see CheckPrefixCtx)
 	CacheHits    int // queries answered from the verdict cache
 	CacheMisses  int // queries that had to be solved
 
@@ -280,6 +280,11 @@ func (s *Solver) CheckCtx(ctx context.Context, constraints []*expr.Expr) (Result
 // if the solving goroutine is cancelled, it caches nothing and one waiter
 // solves the key instead. Returned models are shared with the cache and
 // with every other query of the key: callers must not write them.
+//
+// Every Unknown answer counts in Stats.Unknowns, whether it was solved, read
+// from the cache, taken from another query's flight or forced by a
+// cancelled wait, so a scope's count does not depend on what the cache
+// held before its queries.
 func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.Expr) (Result, expr.Env) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -291,7 +296,15 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 	// The entries and the key live on the stack unless a query outgrows
 	// them, so a cache hit allocates nothing.
 	var small [32]*internEntry
-	ens := s.appendInterned(small[:0], conds)
+	res, model := s.answer(ctx, p, s.appendInterned(small[:0], conds))
+	if res == Unknown {
+		s.stats.add(cUnknowns, 1)
+	}
+	return res, model
+}
+
+// answer is CheckPrefixCtx's cache protocol over the interned conds.
+func (s *Solver) answer(ctx context.Context, p *Prefix, ens []*internEntry) (Result, expr.Env) {
 	if s.cache == nil {
 		return s.check(ctx, p, ens)
 	}
@@ -326,7 +339,6 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 			}
 		case <-ctx.Done():
 			s.stats.add(cCacheMisses, 1)
-			s.stats.add(cUnknowns, 1)
 			return Unknown, nil
 		}
 	}
@@ -342,9 +354,6 @@ func (s *Solver) check(ctx context.Context, p *Prefix, ens []*internEntry) (Resu
 	res, model := s.checkOn(ctx, sc, p, ens)
 	s.flush(&sc.tally)
 	putScratch(sc)
-	if res == Unknown {
-		s.stats.add(cUnknowns, 1)
-	}
 	return res, model
 }
 
