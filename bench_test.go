@@ -292,8 +292,8 @@ func BenchmarkSolverCacheHit(b *testing.B) {
 // BenchmarkWarmSolverFSP re-runs the FSP analysis on one warm solver, the
 // steady state of a long-lived daemon: nearly every query is a verdict-cache
 // hit, so no query searches, and what is left is the extraction and server
-// walks themselves, resolving each query's freshly built trees to their
-// intern entries, and looking each key up.
+// walks themselves, building each query's trees from canonical nodes,
+// resolving them to their intern entries, and looking each key up.
 func BenchmarkWarmSolverFSP(b *testing.B) {
 	b.ReportAllocs()
 	s := solver.Default()

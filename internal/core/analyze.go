@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -137,7 +138,7 @@ type Result struct {
 	PrunedStates    int // states pruned because no Trojan could reach them
 	FilteredReports int // accepting states whose Trojan query was unsat/unknown
 	BulkDrops       int // client paths dropped via differentFrom (no solver call)
-	BindKeyHits     int // triggerability verdicts shared via canonical bind keys
+	BindKeyHits     int // triggerability verdicts shared within a bind class
 	WitnessHits     int // live-set and Trojan-possible queries answered by a parent model
 	Duration        time.Duration
 	EngineStats     symexec.Stats
@@ -279,12 +280,6 @@ func analyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 			a.mu.Unlock()
 			a.reportIfTrojan(st, a.liveFromScratch(st))
 		})
-		// A first-trojan stop (or a cancel) during phase B leaves accepting
-		// paths undifferenced: the class set is partial even though the
-		// engine walk itself completed.
-		if runCtx.Err() != nil {
-			a.res.EngineStats.Truncated = true
-		}
 	default:
 		execOpts.Hooks = symexec.Hooks{
 			OnBranch: a.onBranch,
@@ -296,13 +291,6 @@ func analyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 		}
 		a.res.EngineStats = engRes.Stats
 		a.res.PrunedStates = len(engRes.ByStatus(symexec.StatusPruned))
-		// A stop that lands as the engine drains its last state can leave the
-		// walk looking complete; the result of a stopped run is partial by
-		// contract (FirstTrojan in particular promises Truncated), so force
-		// the flag whenever the working context fired.
-		if runCtx.Err() != nil {
-			a.res.EngineStats.Truncated = true
-		}
 	}
 	a.finalize()
 	a.res.WitnessHits = int(a.witnesses.Load())
@@ -315,9 +303,16 @@ func analyzeServerCtx(ctx context.Context, server *lang.Unit, pc *ClientPredicat
 		a.emitProgress()
 	}
 	// Only the caller's cancellation is an error; the internal first-trojan
-	// stop is a successful early exit (the Truncated flag still records that
-	// the exploration was cut short).
-	return a.res, ctx.Err()
+	// stop is a successful early exit. Either can land as the engine drains
+	// its last state, during phase B or during the final snapshot, and leave
+	// the walk looking complete; the result of a stopped run is partial by
+	// contract (FirstTrojan in particular promises Truncated), so the flag is
+	// forced here, with the error it goes with.
+	err := ctx.Err()
+	if err != nil || runCtx.Err() != nil {
+		a.res.EngineStats.Truncated = true
+	}
+	return a.res, err
 }
 
 // progressLoop emits periodic Progress snapshots until the analysis ends.
@@ -510,11 +505,8 @@ func (a *analysis) singleFieldOf(cond *expr.Expr) int {
 // together with any other variable.
 func (a *analysis) tiesField(path []*expr.Expr, f int) bool {
 	name := a.pc.MsgVarName(f)
-	vars := map[string]bool{}
 	for _, c := range path {
-		clear(vars)
-		expr.CollectVars(c, vars)
-		if vars[name] && len(vars) > 1 {
+		if vs := expr.Vars(c); len(vs) > 1 && slices.Contains(vs, name) {
 			return true
 		}
 	}
@@ -783,7 +775,7 @@ func (a *analysis) stateWorld(model expr.Env) expr.Env {
 func (a *analysis) verifyNotClient(msg []int64, stateEnv expr.Env) bool {
 	var eqs []*expr.Expr
 	for f := range msg {
-		eqs = append(eqs, expr.Eq(a.pc.msgVar(f), expr.Const(msg[f])))
+		eqs = append(eqs, expr.Eq(expr.Var(a.pc.MsgVarName(f)), expr.Const(msg[f])))
 	}
 	for name, v := range stateEnv {
 		eqs = append(eqs, expr.Eq(expr.Var(name), expr.Const(v)))

@@ -89,7 +89,7 @@ func TestDifferentFromClassMatrix(t *testing.T) {
 			for i, p := range pc.Paths {
 				negClasses[core.NegClass(pc, i)] = true
 				for j, q := range pc.Paths {
-					if same, equal := core.NegClass(pc, i) == core.NegClass(pc, j), expr.Equal(p.Negation(), q.Negation()); same != equal {
+					if same, equal := core.NegClass(pc, i) == core.NegClass(pc, j), p.Negation() == q.Negation(); same != equal {
 						t.Fatalf("paths %d and %d: same negation class %v, structurally equal negations %v", i, j, same, equal)
 					}
 				}

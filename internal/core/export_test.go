@@ -36,12 +36,6 @@ func Member(pc *ClientPredicate, i, f int) *expr.Expr { return pc.members[i][f] 
 // NegClass returns client path i's negation class.
 func NegClass(pc *ClientPredicate, i int) int { return pc.Paths[i].negClass }
 
-// KVars returns client path i's per-constraint variable lists.
-func KVars(pc *ClientPredicate, i int) [][]string { return pc.Paths[i].kvars }
-
-// MsgVar returns the predicate's message variable node for field f.
-func MsgVar(pc *ClientPredicate, f int) *expr.Expr { return pc.msgVar(f) }
-
 // BindBuilt reports whether client path i's bind has been built.
 func BindBuilt(pc *ClientPredicate, i int) bool { return pc.Paths[i].bind != nil }
 

@@ -178,8 +178,8 @@ func TestParallelAblationModes(t *testing.T) {
 }
 
 // TestParallelExtractionDeterministic asserts that concurrent client
-// extraction merges paths in client order: IDs, origins and bind keys match
-// the sequential extraction exactly.
+// extraction merges paths in client order: IDs, origins and bind classes
+// match the sequential extraction exactly.
 func TestParallelExtractionDeterministic(t *testing.T) {
 	tgt := fsp.NewRichTarget(false)
 	mk := func(j int) *core.ClientPredicate {
@@ -202,8 +202,8 @@ func TestParallelExtractionDeterministic(t *testing.T) {
 	}
 	for i := range seq.Paths {
 		s, p := seq.Paths[i], par.Paths[i]
-		if s.ID != p.ID || s.Origin != p.Origin || s.BindKey() != p.BindKey() {
-			t.Fatalf("path %d differs: (%d %s) vs (%d %s)", i, s.ID, s.Origin, p.ID, p.Origin)
+		if s.ID != p.ID || s.Origin != p.Origin || s.BindClass() != p.BindClass() {
+			t.Fatalf("path %d differs: (%d %s #%d) vs (%d %s #%d)", i, s.ID, s.Origin, s.BindClass(), p.ID, p.Origin, p.BindClass())
 		}
 		if s.Negation().String() != p.Negation().String() {
 			t.Fatalf("path %d negation differs:\n  %s\n  %s", i, s.Negation(), p.Negation())
@@ -292,9 +292,9 @@ func TestExtractionSharesRunSolver(t *testing.T) {
 				t.Fatalf("-j %d: path %d differs:\n  got  %s %v %v\n  want %s %v %v",
 					j, i, g.Origin, g.Fields, g.Constraints, w.Origin, w.Fields, w.Constraints)
 			}
-			if g.BindKey() != w.BindKey() || core.NegClass(got, i) != core.NegClass(want, i) {
-				t.Fatalf("-j %d: path %d bind key or negation class differs:\n  got  %s #%d\n  want %s #%d",
-					j, i, g.BindKey(), core.NegClass(got, i), w.BindKey(), core.NegClass(want, i))
+			if g.BindClass() != w.BindClass() || core.NegClass(got, i) != core.NegClass(want, i) {
+				t.Fatalf("-j %d: path %d bind or negation class differs:\n  got  #%d #%d\n  want #%d #%d",
+					j, i, g.BindClass(), core.NegClass(got, i), w.BindClass(), core.NegClass(want, i))
 			}
 		}
 	}

@@ -21,8 +21,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,10 +54,6 @@ type ClientPath struct {
 	Constraints []*expr.Expr // K(λ): path constraints
 
 	// Precomputed artifacts (built by the predicate preprocessor):
-	// kvars[k] is the sorted variable list of Constraints[k], built once
-	// and read by every preprocessing step that asks which constraints a
-	// variable set touches; preprocessing drops it when it returns.
-	kvars     [][]string
 	fieldKind []FieldKind
 	// bind: m_f == E'_f for every field plus K', with input vars renamed
 	// c{ID}_*; satisfiable together with a server path iff a message on that
@@ -80,21 +76,19 @@ type ClientPath struct {
 	// sense: a constant or a pure input var whose constraints mention only
 	// that var, enabling differentFrom reasoning.
 	simpleField []bool
-	// bindKey is a canonical signature of the path's *message-relevant*
-	// predicate: the field expressions plus the constraints transitively
-	// connected to them, with input variables renamed in encounter order.
-	// Paths with equal bindKeys admit exactly the same messages (they
-	// differ only in local-only behaviour such as flag handling), so one
-	// satisfiability verdict against a server path serves the whole group.
-	bindKey string
-	// bindClass numbers the path's bindKey among the distinct ones, in path
-	// order, so the server phase indexes its per-group verdicts and models
-	// by class in slices.
+	// bindClass numbers the path's *message-relevant* predicate among the
+	// distinct ones, in path order (see bindSignature). Paths of one class
+	// admit exactly the same messages (they differ only in local-only
+	// behaviour such as flag handling), so one satisfiability verdict
+	// against a server path serves the whole class, and the server phase
+	// indexes its per-class verdicts and models in slices.
 	bindClass int
 }
 
-// BindKey exposes the canonical message-relevant signature.
-func (cp *ClientPath) BindKey() string { return cp.bindKey }
+// BindClass returns the path's bind class: two paths of one predicate share
+// it exactly when their message-relevant predicates are equal up to the
+// renaming of input variables.
+func (cp *ClientPath) BindClass() int { return cp.bindClass }
 
 // Bind returns the binding constraints (message equality plus client path
 // constraints, alpha-renamed), built on the first call and cached; nil when
@@ -134,18 +128,14 @@ type ClientPredicate struct {
 	// MsgPrefix is the server message variable prefix ("m": fields are
 	// m0, m1, ...).
 	MsgPrefix string
-	// msgVars holds one message variable node per field, built when
-	// preprocessing starts and shared by every bind, negation and
-	// verification query (see msgVar).
-	msgVars []*expr.Expr
 	// members[i][f] is path i's value-set predicate for field f over
 	// memberVar: true exactly at the values path i can place in field f.
 	// Nil when the field is masked or not simple. The §4 guard evaluates
 	// them at a concrete message to rule client paths out without a solver
 	// query.
 	members [][]*expr.Expr
-	// memberClass[i][f] numbers members[i][f] by its rendering, so paths
-	// that place the same value set in a field share a member class; -1
+	// memberClass[i][f] numbers members[i][f] by node, so paths that
+	// place the same value set in a field share a member class; -1
 	// where members[i][f] is nil. classDiff is the differentFrom matrix
 	// over member classes, numClasses × numClasses in row-major order:
 	// classDiff[a·numClasses+b] = TriYes when class a holds a value class
@@ -156,7 +146,7 @@ type ClientPredicate struct {
 	classDiff   []Tri
 	numClasses  int
 	// negClasses counts the distinct negations (ClientPath.negClass), and
-	// bindClasses the distinct bind keys (ClientPath.bindClass).
+	// bindClasses the distinct bind signatures (ClientPath.bindClass).
 	negClasses  int
 	bindClasses int
 
@@ -214,10 +204,10 @@ func (pc *ClientPredicate) DifferentFrom(i, j, f int) Tri {
 // ExtractOptions configure client predicate extraction.
 type ExtractOptions struct {
 	// Exec is passed to the symbolic engine for each client run. A nil
-	// Exec.Solver runs the clients on Solver.Scoped(), so extraction,
-	// preprocessing and (through RunCtx) the server phase share one verdict
-	// cache, while the client runs' trees stay out of Solver's pointer
-	// memo; a solver set here runs the clients on it instead.
+	// Exec.Solver runs the clients on Solver, so extraction, preprocessing
+	// and (through RunCtx) the server phase share one verdict cache and
+	// count into one scope; a solver set here runs the clients on it
+	// instead.
 	Exec symexec.Options
 	// FieldNames names the message fields (optional, for reports).
 	FieldNames []string
@@ -275,10 +265,7 @@ func ExtractClientPredicateCtx(ctx context.Context, clients []ClientProgram, opt
 		opts.Solver = solver.Default()
 	}
 	if opts.Exec.Solver == nil {
-		// Scoped: the client runs share the solver's cache and entries and
-		// count into its counters, but their trees leave with the scope's
-		// pointer memo instead of staying live in the run's until it ends.
-		opts.Exec.Solver = opts.Solver.Scoped()
+		opts.Exec.Solver = opts.Solver
 	}
 	// Run every client model symbolically — concurrently when Parallelism
 	// allows. Results land in a per-client slot and are merged below in
@@ -306,7 +293,7 @@ func ExtractClientPredicateCtx(ctx context.Context, clients []ClientProgram, opt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
+	var seen signatures // sent messages, to drop duplicate paths
 	raw := 0
 	for ci, cl := range clients {
 		if errs[ci] != nil {
@@ -322,11 +309,11 @@ func ExtractClientPredicateCtx(ctx context.Context, clients []ClientProgram, opt
 			}
 			for _, sent := range st.Sent {
 				raw++
-				key := sentKey(sent)
-				if seen[key] {
+				// Constraint order is program order, but compare the path as
+				// a multiset anyway so that reordered conjuncts dedupe.
+				if _, fresh := seen.number(signature{sent.Fields, sent.Path}); !fresh {
 					continue
 				}
-				seen[key] = true
 				cp := &ClientPath{
 					ID:          len(pc.Paths),
 					Origin:      cl.Name,
@@ -364,40 +351,6 @@ func ExtractClientPredicateCtx(ctx context.Context, clients []ClientProgram, opt
 	return pc, nil
 }
 
-// sentKey is a structural fingerprint used for deduplication.
-func sentKey(m symexec.SentMessage) string {
-	var b strings.Builder
-	for _, f := range m.Fields {
-		b.WriteString(f.String())
-		b.WriteByte('|')
-	}
-	b.WriteByte('#')
-	// Constraint order is deterministic (program order), but sort anyway so
-	// semantically identical paths with reordered conjuncts dedupe.
-	cs := make([]string, len(m.Path))
-	for i, c := range m.Path {
-		cs[i] = c.String()
-	}
-	sort.Strings(cs)
-	for _, c := range cs {
-		b.WriteString(c)
-		b.WriteByte('&')
-	}
-	return b.String()
-}
-
-// msgVar returns the server-side message variable for field f. After
-// preprocessing has started, fields the clients send share one node each:
-// expressions are immutable, and a fresh node per bind and per negation
-// disjunct kept up to two copies per path and field live through the
-// server phase (0.36 MB at its start on the rich FSP corpus).
-func (pc *ClientPredicate) msgVar(f int) *expr.Expr {
-	if f < len(pc.msgVars) {
-		return pc.msgVars[f]
-	}
-	return expr.Var(pc.MsgVarName(f))
-}
-
 // MsgVarName returns the server-side message variable name for field f.
 func (pc *ClientPredicate) MsgVarName(f int) string {
 	return pc.MsgPrefix + strconv.Itoa(f)
@@ -420,10 +373,11 @@ func (pc *ClientPredicate) FieldIndexOfVar(name string) int {
 // classification, the negation disjuncts (with the §4.1 overlap check), and
 // the differentFrom matrix (§3.3), and readies the path's binding
 // constraints, which Bind builds on first read. The per-path work (field
-// classification, negation with its overlap solver queries, bind keys) fans
-// out over the given number of workers. Paths are independent, so the
-// produced artifacts do not depend on the worker count; per-path counters
-// are summed in path order, keeping PreprocessStats deterministic.
+// classification, negation with its overlap solver queries, bind
+// signatures) fans out over the given number of workers. Paths are
+// independent, so the produced artifacts do not depend on the worker count;
+// per-path counters are summed in path order, keeping PreprocessStats
+// deterministic.
 // Numbering the negations and the differentFrom matrix stay sequential: the
 // matrix asks one query per member-class pair (84 on the rich 256-path FSP
 // corpus), which is too little work to fan out.
@@ -439,31 +393,17 @@ func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pc.msgVars = make([]*expr.Expr, pc.NumFields)
-	for f := range pc.msgVars {
-		pc.msgVars[f] = expr.Var(pc.MsgVarName(f))
-	}
-	// The per-path variable lists serve preprocessing only; drop them on
-	// the way out so they do not stay live through the server phase.
-	defer func() {
-		for _, cp := range pc.Paths {
-			cp.kvars = nil
-		}
-	}()
 	stats := make([]PreprocessStats, len(pc.Paths))
+	binds := make([]signature, len(pc.Paths))
 	parallelFor(workers, len(pc.Paths), func(i int) {
 		if ctx.Err() != nil {
 			return
 		}
 		cp := pc.Paths[i]
 		cp.pc = pc
-		cp.kvars = make([][]string, len(cp.Constraints))
-		for k, c := range cp.Constraints {
-			cp.kvars[k] = expr.Vars(c)
-		}
 		pc.classifyFields(cp)
 		pc.buildNegation(ctx, cp, s, &stats[i])
-		pc.buildBindKey(cp)
+		binds[i] = pc.bindSignature(cp)
 	})
 	for _, st := range stats {
 		pc.PreprocessStats.Disjuncts += st.Disjuncts
@@ -476,56 +416,103 @@ func (pc *ClientPredicate) PreprocessParallelCtx(ctx context.Context, s *solver.
 		// matrix.
 		return
 	}
-	pc.numberClasses()
+	pc.numberClasses(binds)
 	pc.buildDifferentFrom(ctx, s)
 }
 
-// numberClasses gives every path its negation class and its bind class in
-// path order, so the IDs do not depend on how the per-path work was
-// scheduled.
-func (pc *ClientPredicate) numberClasses() {
-	firsts := map[uint64][]*ClientPath{} // first path of each class, by hash
-	binds := map[string]int{}
-	pc.negClasses = 0
-	for _, cp := range pc.Paths {
-		cls, ok := binds[cp.bindKey]
+// numberClasses gives every path its negation class and, from its bind
+// signature, its bind class, both in path order, so the IDs do not depend
+// on how the per-path work was scheduled.
+func (pc *ClientPredicate) numberClasses(binds []signature) {
+	negs := map[*expr.Expr]int{}
+	var bc signatures
+	for i, cp := range pc.Paths {
+		cp.bindClass, _ = bc.number(binds[i])
+		cls, ok := negs[cp.negation]
 		if !ok {
-			cls = len(binds)
-			binds[cp.bindKey] = cls
+			cls = len(negs)
+			negs[cp.negation] = cls
 		}
-		cp.bindClass = cls
-		h := cp.negation.Hash()
-		cp.negClass = -1
-		for _, first := range firsts[h] {
-			if expr.Equal(first.negation, cp.negation) {
-				cp.negClass = first.negClass
-				break
-			}
-		}
-		if cp.negClass < 0 {
-			cp.negClass = pc.negClasses
-			pc.negClasses++
-			firsts[h] = append(firsts[h], cp)
-		}
+		cp.negClass = cls
 	}
-	pc.bindClasses = len(binds)
+	pc.negClasses, pc.bindClasses = len(negs), len(bc.sigs)
 }
 
-// buildBindKey computes the canonical message-relevant signature. The
-// relevant constraint set is the transitive closure of the constraints
-// sharing variables with the field expressions; constraints on local-only
-// inputs (flags, normalisation choices) are excluded, because they are
+// signature identifies a list of expression nodes, the ordered part in
+// order and the bag as a multiset. Nodes are canonical, so two signatures
+// are equal exactly when their parts hold the same pointers.
+type signature struct {
+	ordered, bag []*expr.Expr
+}
+
+func (s signature) equal(o signature) bool {
+	if !slices.Equal(s.ordered, o.ordered) || len(s.bag) != len(o.bag) {
+		return false
+	}
+	if slices.Equal(s.bag, o.bag) {
+		return true
+	}
+	count := make(map[*expr.Expr]int, len(s.bag))
+	for _, e := range s.bag {
+		count[e]++
+	}
+	for _, e := range o.bag {
+		if count[e]--; count[e] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// signatures numbers distinct signatures in first-seen order.
+type signatures struct {
+	seed   maphash.Seed
+	byHash map[uint64][]int
+	sigs   []signature
+}
+
+// number returns s's class, and whether s is the first of it.
+func (t *signatures) number(s signature) (class int, fresh bool) {
+	if t.byHash == nil {
+		t.seed, t.byHash = maphash.MakeSeed(), map[uint64][]int{}
+	}
+	var h uint64 // the bag's nodes add up, so its order does not count
+	for _, e := range s.ordered {
+		h = h*31 + maphash.Comparable(t.seed, e)
+	}
+	for _, e := range s.bag {
+		h += maphash.Comparable(t.seed, e)
+	}
+	for _, c := range t.byHash[h] {
+		if t.sigs[c].equal(s) {
+			return c, false
+		}
+	}
+	class = len(t.sigs)
+	t.byHash[h] = append(t.byHash[h], class)
+	t.sigs = append(t.sigs, s)
+	return class, true
+}
+
+// bindSignature returns the canonical signature of the path's
+// message-relevant predicate: the field expressions in order and, as a
+// multiset, the constraints transitively connected to them, with input
+// variables renamed in encounter order. Constraints on local-only inputs
+// (flags, normalisation choices) are excluded, because they are
 // independently satisfiable and cannot affect sat(pathS ∧ bind).
-func (pc *ClientPredicate) buildBindKey(cp *ClientPath) {
+func (pc *ClientPredicate) bindSignature(cp *ClientPath) signature {
 	relevant := map[string]bool{}
 	for _, e := range cp.Fields {
-		expr.CollectVars(e, relevant)
+		for _, v := range expr.Vars(e) {
+			relevant[v] = true
+		}
 	}
 	isRelevant := func(v string) bool { return relevant[v] }
 	// Transitive closure over constraints that share variables.
 	for changed := true; changed; {
 		changed = false
-		for _, vs := range cp.kvars {
+		for _, k := range cp.Constraints {
+			vs := expr.Vars(k)
 			if !slices.ContainsFunc(vs, isRelevant) {
 				continue
 			}
@@ -552,23 +539,16 @@ func (pc *ClientPredicate) buildBindKey(cp *ClientPath) {
 		canon[n] = c
 		return c
 	}
-	var b strings.Builder
-	for _, e := range cp.Fields {
-		b.WriteString(expr.RenameVars(e, ren).String())
-		b.WriteByte('|')
+	sig := signature{ordered: make([]*expr.Expr, len(cp.Fields))}
+	for f, e := range cp.Fields {
+		sig.ordered[f] = expr.RenameVars(e, ren)
 	}
-	var ks []string
-	for i, k := range cp.Constraints {
-		if vs := cp.kvars[i]; len(vs) == 0 || slices.ContainsFunc(vs, isRelevant) {
-			ks = append(ks, expr.RenameVars(k, ren).String())
+	for _, k := range cp.Constraints {
+		if vs := expr.Vars(k); len(vs) == 0 || slices.ContainsFunc(vs, isRelevant) {
+			sig.bag = append(sig.bag, expr.RenameVars(k, ren))
 		}
 	}
-	sort.Strings(ks)
-	for _, k := range ks {
-		b.WriteString(k)
-		b.WriteByte('&')
-	}
-	cp.bindKey = b.String()
+	return sig
 }
 
 // isShared reports whether a variable is shared world state (not renamed).
@@ -588,7 +568,7 @@ func (pc *ClientPredicate) buildBind(cp *ClientPath) []*expr.Expr {
 	}
 	bind := make([]*expr.Expr, 0, len(cp.Fields)+len(cp.Constraints))
 	for f, e := range cp.Fields {
-		bind = append(bind, expr.Eq(pc.msgVar(f), expr.RenameVars(e, ren)))
+		bind = append(bind, expr.Eq(expr.Var(pc.MsgVarName(f)), expr.RenameVars(e, ren)))
 	}
 	for _, k := range cp.Constraints {
 		bind = append(bind, expr.RenameVars(k, ren))
@@ -600,8 +580,8 @@ func (pc *ClientPredicate) buildBind(cp *ClientPath) []*expr.Expr {
 // mention any of the sorted variable names vars.
 func (cp *ClientPath) constraintsMentioning(vars []string) []*expr.Expr {
 	var out []*expr.Expr
-	for i, k := range cp.Constraints {
-		if sharesName(cp.kvars[i], vars) {
+	for _, k := range cp.Constraints {
+		if sharesName(expr.Vars(k), vars) {
 			out = append(out, k)
 		}
 	}
@@ -629,11 +609,9 @@ func (pc *ClientPredicate) classifyFields(cp *ClientPath) {
 	cp.fieldKind = make([]FieldKind, len(cp.Fields))
 	cp.simpleField = make([]bool, len(cp.Fields))
 	// Count the fields using each input var.
-	fvars := make([][]string, len(cp.Fields))
 	varFields := map[string]int{}
-	for f, e := range cp.Fields {
-		fvars[f] = expr.Vars(e)
-		for _, v := range fvars[f] {
+	for _, e := range cp.Fields {
+		for _, v := range expr.Vars(e) {
 			varFields[v]++
 		}
 	}
@@ -651,14 +629,16 @@ func (pc *ClientPredicate) classifyFields(cp *ClientPath) {
 		default:
 			cp.fieldKind[f] = FieldExpr
 		}
-		if !slices.ContainsFunc(cp.kvars, func(vs []string) bool { return sharesName(vs, fvars[f]) }) {
+		fvars := expr.Vars(e)
+		if !slices.ContainsFunc(cp.Constraints, func(k *expr.Expr) bool { return sharesName(expr.Vars(k), fvars) }) {
 			cp.fieldKind[f] = FieldFree
 			continue
 		}
 		// simple: pure var, used only in this field, and all its constraints
 		// mention only this var.
 		if e.Kind == expr.KVar && varFields[e.Name] == 1 {
-			cp.simpleField[f] = !slices.ContainsFunc(cp.kvars, func(vs []string) bool {
+			cp.simpleField[f] = !slices.ContainsFunc(cp.Constraints, func(k *expr.Expr) bool {
+				vs := expr.Vars(k)
 				return len(vs) > 1 && slices.Contains(vs, e.Name)
 			})
 		}
@@ -675,7 +655,7 @@ func (pc *ClientPredicate) buildNegation(ctx context.Context, cp *ClientPath, s 
 		if pc.masked[f] {
 			continue
 		}
-		m := pc.msgVar(f)
+		m := expr.Var(pc.MsgVarName(f))
 		var d *expr.Expr
 		switch cp.fieldKind[f] {
 		case FieldConst:
@@ -733,7 +713,7 @@ func (pc *ClientPredicate) exprFieldNegation(cp *ClientPath, f int, e *expr.Expr
 		}
 		return prefix + n
 	}
-	eq := expr.Eq(pc.msgVar(f), expr.RenameVars(e, ren))
+	eq := expr.Eq(expr.Var(pc.MsgVarName(f)), expr.RenameVars(e, ren))
 	neg := expr.Not(expr.AndAll(ks))
 	return expr.And(eq, expr.RenameVars(neg, ren))
 }
@@ -777,10 +757,10 @@ func (cp *ClientPath) fieldValueMember(f int, v *expr.Expr) *expr.Expr {
 
 // buildDifferentFrom computes the §3.3 matrix for simple fields: the paper
 // applies the field-level negate operator between every pair of client path
-// predicates. A member predicate renders a value set over memberVar, so
-// paths whose renderings are equal place the same values, and large corpora
-// repeat a few value sets many times (every flag combination of the same
-// utility). Each distinct rendering is one member class, and the matrix is
+// predicates. A member predicate is a value set over memberVar, so paths
+// whose member predicates are one node place the same values, and large
+// corpora repeat a few value sets many times (every flag combination of the
+// same utility). Each distinct node is one member class, and the matrix is
 // kept per class pair: a pair is solved once, when two distinct paths first
 // hold it at one field, and never when no field brings it together. The
 // DiffFrom* tallies still count ordered path pairs per field, from the
@@ -788,7 +768,7 @@ func (cp *ClientPath) fieldValueMember(f int, v *expr.Expr) *expr.Expr {
 func (pc *ClientPredicate) buildDifferentFrom(ctx context.Context, s *solver.Solver) {
 	n := len(pc.Paths)
 	v := expr.Var(memberVar)
-	ids := map[string]int{}
+	ids := map[*expr.Expr]int{}
 	var classes []*expr.Expr // member predicate of each class
 	pc.members = make([][]*expr.Expr, n)
 	pc.memberClass = make([][]int, n)
@@ -801,11 +781,10 @@ func (pc *ClientPredicate) buildDifferentFrom(ctx context.Context, s *solver.Sol
 				continue
 			}
 			m := p.fieldValueMember(f, v)
-			key := m.String()
-			c, ok := ids[key]
+			c, ok := ids[m]
 			if !ok {
 				c = len(classes)
-				ids[key] = c
+				ids[m] = c
 				classes = append(classes, m)
 			}
 			pc.members[i][f], pc.memberClass[i][f] = m, c

@@ -11,10 +11,9 @@ import (
 	"achilles/internal/solver"
 )
 
-// TestPreprocessSharesMessageVars holds what preprocessing leaves live for
-// the server phase on the rich FSP corpus: no path keeps its per-constraint
-// variable lists, and every message variable in a bind or a negation is the
-// predicate's one node for that field, not a copy per path.
+// TestPreprocessSharesMessageVars holds that expressions reach the server
+// phase canonical on the rich FSP corpus: every message variable in a bind
+// or a negation is the one node of its name, not a copy per path.
 func TestPreprocessSharesMessageVars(t *testing.T) {
 	tgt := fsp.NewRichTarget(false)
 	for _, j := range []int{1, 2} {
@@ -34,7 +33,7 @@ func TestPreprocessSharesMessageVars(t *testing.T) {
 		walk = func(e *expr.Expr) {
 			if e.Kind == expr.KVar {
 				if f := pc.FieldIndexOfVar(e.Name); f >= 0 && f < pc.NumFields {
-					if e != core.MsgVar(pc, f) {
+					if e != expr.Var(pc.MsgVarName(f)) {
 						t.Fatalf("-j %d: a copy of %s outside the predicate's node", j, e.Name)
 					}
 					vars++
@@ -45,10 +44,7 @@ func TestPreprocessSharesMessageVars(t *testing.T) {
 				walk(a)
 			}
 		}
-		for i, cp := range pc.Paths {
-			if core.KVars(pc, i) != nil {
-				t.Fatalf("-j %d: path %d kept its variable lists after preprocessing", j, i)
-			}
+		for _, cp := range pc.Paths {
 			for _, b := range cp.Bind() {
 				walk(b)
 			}
@@ -83,7 +79,7 @@ func TestBindsBuiltOnDemand(t *testing.T) {
 		}
 		for _, i := range unread {
 			got, want := pc.Paths[i].Bind(), core.BuildBind(pc, i)
-			if !slices.EqualFunc(got, want, expr.Equal) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("-j %d: path %d: Bind() = %v, eager build = %v", j, i, got, want)
 			}
 		}

@@ -73,9 +73,8 @@ func Run(t Target, opts AnalysisOptions) (*RunResult, error) {
 //
 // Every phase runs on one scope of opts.Solver (solver.Solver.Scoped): the
 // scope shares the solver's verdict cache and intern table, so runs on one
-// solver still answer each other's queries, while the trees the run builds
-// leave with the scope's pointer memo and the scope's counters are the
-// run's own solver work (Result.SolverStats).
+// solver still answer each other's queries, and the scope's counters are
+// the run's own solver work (Result.SolverStats).
 func RunCtx(ctx context.Context, t Target, opts AnalysisOptions) (*RunResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -3,7 +3,7 @@ package expr
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 )
 
 // Env is a concrete assignment of integer values to variable names.
@@ -158,41 +158,38 @@ func Rebuild(k Kind, args []*Expr) *Expr {
 	panic("expr: Rebuild of non-operator kind " + k.String())
 }
 
-// CollectVars adds the names of all variables occurring in e to set.
-func CollectVars(e *Expr, set map[string]bool) {
+// Vars returns the sorted list of variable names occurring in e. Each node
+// computes its list once and every caller shares it: the list is read-only.
+func Vars(e *Expr) []string {
+	if p := e.vars.Load(); p != nil {
+		return *p
+	}
+	set := map[string]bool{}
+	collectVars(e, set)
+	vs := slices.Sorted(maps.Keys(set))
+	e.vars.Store(&vs) // a racing first use stores an equal list
+	return vs
+}
+
+func collectVars(e *Expr, set map[string]bool) {
 	if e.Kind == KVar {
 		set[e.Name] = true
-		return
 	}
 	for _, a := range e.Args {
-		CollectVars(a, set)
+		collectVars(a, set)
 	}
 }
 
-// Vars returns the sorted list of variable names occurring in e.
-func Vars(e *Expr) []string {
-	set := make(map[string]bool)
-	CollectVars(e, set)
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// VarsOf returns the union of variable names across all exprs, sorted.
+// VarsOf returns the union of variable names across all exprs, sorted, in a
+// slice of its own.
 func VarsOf(exprs []*Expr) []string {
-	set := make(map[string]bool)
+	set := map[string]bool{}
 	for _, e := range exprs {
-		CollectVars(e, set)
+		for _, v := range Vars(e) {
+			set[v] = true
+		}
 	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(set))
 }
 
 // RenameVars returns e with every variable renamed through fn. Variables for

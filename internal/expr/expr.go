@@ -9,12 +9,25 @@
 // push-down — so that the solver and the predicate machinery always see
 // lightly canonicalised trees.
 //
+// Nodes are hash-consed: after simplification, a constructor returns the one
+// node that exists for its structure, process-wide, so two trees are
+// structurally equal exactly when they are the same pointer, and a node can
+// key a map or a cache as the identity of its structure. The tables that
+// find them hold nodes weakly (table.go): a node that nothing else
+// references is collected, and its entry goes with it. The guarantee holds
+// only for nodes made by the constructors, so construct nodes only through
+// them; a node literal is unknown to the tables and equal to nothing but
+// itself.
+//
 // Expressions are immutable after construction and safe for concurrent use.
-// Every node carries a structural hash computed at construction time, making
-// equality checks and set-membership cheap.
+// Every node computes its sorted variable list once (Vars).
 package expr
 
-import "strconv"
+import (
+	"strconv"
+	"sync/atomic"
+	"weak"
+)
 
 // Kind identifies the operator of an expression node.
 type Kind uint8
@@ -90,14 +103,15 @@ func (k Kind) String() string {
 }
 
 // Expr is one immutable expression node. Construct values only through the
-// package constructors; direct literal construction bypasses simplification
-// and hashing and will confuse the solver.
+// package constructors: a literal node bypasses simplification and the
+// table, so it equals no other node and will confuse the solver.
 type Expr struct {
 	Kind Kind
-	Val  int64   // literal value for KConst/KBool
-	Name string  // variable name for KVar
-	Args []*Expr // operands
-	hash uint64
+	Val  int64                    // literal value for KConst/KBool
+	Name string                   // variable name for KVar
+	Args []*Expr                  // operands
+	self weak.Pointer[Expr]       // this node's identity in operator keys
+	vars atomic.Pointer[[]string] // Vars(e), filled on first use
 }
 
 // operator is the allocation of an operator node: the node and a two-slot
@@ -108,10 +122,11 @@ type operator struct {
 	ops [2]*Expr
 }
 
-// Interned singletons for the boolean literals and small integers.
+// The boolean literals and small integers are made once and never leave;
+// every other node comes from a table.
 var (
-	trueExpr  = newNode(&Expr{Kind: KBool, Val: 1})
-	falseExpr = newNode(&Expr{Kind: KBool, Val: 0})
+	trueExpr  = named(&Expr{Kind: KBool, Val: 1})
+	falseExpr = named(&Expr{Kind: KBool})
 )
 
 const smallConstCacheSize = 257 // -1 .. 255, the byte-heavy protocol range
@@ -120,45 +135,25 @@ var smallConsts [smallConstCacheSize]*Expr
 
 func init() {
 	for i := range smallConsts {
-		smallConsts[i] = newNode(&Expr{Kind: KConst, Val: int64(i - 1)})
+		smallConsts[i] = named(&Expr{Kind: KConst, Val: int64(i - 1)})
 	}
 }
 
-// binary returns the operator node k(a, b), hashed.
+// binary returns the canonical operator node k(a, b).
 func binary(k Kind, a, b *Expr) *Expr {
-	n := &operator{Expr: Expr{Kind: k}, ops: [2]*Expr{a, b}}
-	n.Args = n.ops[:2:2]
-	return newNode(&n.Expr)
+	return ops.node(op{a.self, b.self, uint64(k)}, func() *Expr { return newOperator(k, a, b) })
 }
 
-// unary returns the operator node k(a), hashed.
+// unary returns the canonical operator node k(a).
 func unary(k Kind, a *Expr) *Expr {
-	n := &operator{Expr: Expr{Kind: k}, ops: [2]*Expr{a}}
-	n.Args = n.ops[:1:1]
-	return newNode(&n.Expr)
+	return ops.node(op{a: a.self, kind: uint64(k)}, func() *Expr { return newOperator(k, a) })
 }
 
-// newNode finalises a node by computing its structural hash.
-func newNode(e *Expr) *Expr {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
-	}
-	mix(uint64(e.Kind))
-	mix(uint64(e.Val))
-	for i := 0; i < len(e.Name); i++ {
-		mix(uint64(e.Name[i]))
-	}
-	for _, a := range e.Args {
-		mix(a.hash)
-	}
-	e.hash = h
-	return e
+// newOperator allocates the node k(args...).
+func newOperator(k Kind, args ...*Expr) *Expr {
+	n := &operator{Expr: Expr{Kind: k}}
+	n.Args = append(n.ops[:0:len(args)], args...)
+	return &n.Expr
 }
 
 // Const returns the integer literal v.
@@ -166,7 +161,7 @@ func Const(v int64) *Expr {
 	if v >= -1 && v < smallConstCacheSize-1 {
 		return smallConsts[v+1]
 	}
-	return newNode(&Expr{Kind: KConst, Val: v})
+	return leaves.node(leaf{kind: KConst, val: v}, func() *Expr { return &Expr{Kind: KConst, Val: v} })
 }
 
 // Bool returns the boolean literal b.
@@ -183,7 +178,7 @@ func False() *Expr { return falseExpr }
 
 // Var returns the integer variable named name.
 func Var(name string) *Expr {
-	return newNode(&Expr{Kind: KVar, Name: name})
+	return leaves.node(leaf{kind: KVar, name: name}, func() *Expr { return &Expr{Kind: KVar, Name: name} })
 }
 
 // IsConst reports whether e is an integer literal.
@@ -197,28 +192,6 @@ func (e *Expr) IsTrue() bool { return e.Kind == KBool && e.Val == 1 }
 
 // IsFalse reports whether e is the literal false.
 func (e *Expr) IsFalse() bool { return e.Kind == KBool && e.Val == 0 }
-
-// Hash returns the structural hash of e.
-func (e *Expr) Hash() uint64 { return e.hash }
-
-// Equal reports structural equality of a and b.
-func Equal(a, b *Expr) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	if a.hash != b.hash || a.Kind != b.Kind || a.Val != b.Val || a.Name != b.Name || len(a.Args) != len(b.Args) {
-		return false
-	}
-	for i := range a.Args {
-		if !Equal(a.Args[i], b.Args[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // Add returns a + b, folding constants and eliminating zero operands.
 func Add(a, b *Expr) *Expr {
@@ -242,7 +215,7 @@ func Sub(a, b *Expr) *Expr {
 	if b.IsConst() && b.Val == 0 {
 		return a
 	}
-	if Equal(a, b) {
+	if a == b {
 		return Const(0)
 	}
 	return binary(KSub, a, b)
@@ -325,7 +298,7 @@ func compare(k Kind, a, b *Expr) *Expr {
 	if a.IsConst() && b.IsConst() {
 		return Bool(cmpFold(k, a.Val, b.Val))
 	}
-	if Equal(a, b) {
+	if a == b {
 		switch k {
 		case KEq, KLe, KGe:
 			return trueExpr
@@ -365,7 +338,7 @@ func And(a, b *Expr) *Expr {
 	if b.IsTrue() {
 		return a
 	}
-	if Equal(a, b) {
+	if a == b {
 		return a
 	}
 	return binary(KAnd, a, b)
@@ -382,7 +355,7 @@ func Or(a, b *Expr) *Expr {
 	if b.IsFalse() {
 		return a
 	}
-	if Equal(a, b) {
+	if a == b {
 		return a
 	}
 	return binary(KOr, a, b)

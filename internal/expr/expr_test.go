@@ -56,7 +56,7 @@ func TestIdentitySimplification(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if !Equal(c.got, c.want) {
+			if c.got != c.want {
 				t.Fatalf("got %s, want %s", c.got, c.want)
 			}
 		})
@@ -64,7 +64,7 @@ func TestIdentitySimplification(t *testing.T) {
 }
 
 // lt0 is a test helper producing a non-literal boolean expression.
-func (e *Expr) lt0() *Expr { return newNode(&Expr{Kind: KLt, Args: []*Expr{e, Const(0)}}) }
+func (e *Expr) lt0() *Expr { return Lt(e, Const(0)) }
 
 func TestComparisonFolding(t *testing.T) {
 	x := Var("x")
@@ -103,13 +103,13 @@ func TestNotPushdown(t *testing.T) {
 		{Not(False()), True()},
 	}
 	for _, c := range cases {
-		if !Equal(c.got, c.want) {
+		if c.got != c.want {
 			t.Errorf("got %s, want %s", c.got, c.want)
 		}
 	}
 	// Double negation through a non-comparison boolean.
 	conj := And(Lt(x, y), Gt(x, Const(0)))
-	if !Equal(Not(Not(conj)), conj) {
+	if Not(Not(conj)) != conj {
 		t.Errorf("double negation not eliminated: %s", Not(Not(conj)))
 	}
 }
@@ -176,13 +176,13 @@ func TestSubstitute(t *testing.T) {
 	}
 	// Partial substitution keeps the other variable.
 	got = Substitute(e, map[string]*Expr{"y": Const(0)})
-	if !Equal(got, x) {
+	if got != x {
 		t.Fatalf("got %s, want x", got)
 	}
 	// Substituting a variable by another expression.
 	got = Substitute(Lt(x, Const(5)), map[string]*Expr{"x": Add(y, Const(1))})
 	want := Lt(Add(y, Const(1)), Const(5))
-	if !Equal(got, want) {
+	if got != want {
 		t.Fatalf("got %s, want %s", got, want)
 	}
 }
@@ -205,7 +205,7 @@ func TestRenameVars(t *testing.T) {
 	e := Add(Var("x"), Var("y"))
 	got := RenameVars(e, func(n string) string { return "c_" + n })
 	want := Add(Var("c_x"), Var("c_y"))
-	if !Equal(got, want) {
+	if got != want {
 		t.Fatalf("got %s, want %s", got, want)
 	}
 	// Identity rename shares the node.
@@ -234,18 +234,17 @@ func TestString(t *testing.T) {
 	}
 }
 
+// TestHashAndEqual: structurally equal expressions are one node, so they
+// compare and hash alike as map keys, and different ones are not.
 func TestHashAndEqual(t *testing.T) {
 	a := Add(Var("x"), Const(1))
 	b := Add(Var("x"), Const(1))
-	if a.Hash() != b.Hash() {
-		t.Error("structurally equal expressions must hash equal")
-	}
-	if !Equal(a, b) {
-		t.Error("structurally equal expressions must compare equal")
+	if a != b {
+		t.Error("structurally equal expressions must be one node")
 	}
 	c := Add(Var("x"), Const(2))
-	if Equal(a, c) {
-		t.Error("different expressions compare equal")
+	if a == c {
+		t.Error("different expressions are one node")
 	}
 }
 

@@ -212,16 +212,16 @@ func TestQuickSubstituteMatchesEval(t *testing.T) {
 	}
 }
 
-// TestQuickStringRoundTripStable: printing is deterministic and hashing is
-// consistent with structural equality for random trees.
+// TestQuickHashConsistency: printing is deterministic, and two constructions
+// of one random tree are one node, which map keys hash alike.
 func TestQuickHashConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		r1 := rand.New(rand.NewSource(seed))
 		r2 := rand.New(rand.NewSource(seed))
 		a := genBoolTree(r1, 3).build()
 		b := genBoolTree(r2, 3).build()
-		// Same seed => same tree => equal and same hash.
-		return Equal(a, b) && a.Hash() == b.Hash() && a.String() == b.String()
+		// Same seed => same tree => one node.
+		return a == b && a.String() == b.String()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -21,7 +21,7 @@ func TestFormulaDeterministic(t *testing.T) {
 			t.Fatalf("iteration %d: lengths differ (%d vs %d)", i, len(fa), len(fb))
 		}
 		for j := range fa {
-			if !expr.Equal(fa[j], fb[j]) {
+			if fa[j] != fb[j] {
 				t.Fatalf("iteration %d, constraint %d: %v vs %v", i, j, fa[j], fb[j])
 			}
 		}

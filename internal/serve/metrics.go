@@ -54,5 +54,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	write("achillesd_bundles_stored_total", "counter", "Bundles persisted to the content-addressed store (deduplicated puts included).", s.metrics.bundlesStored.Load())
 	write("achillesd_solver_queries_total", "counter", "Queries issued to the shared solver.", int64(st.Queries))
 	write("achillesd_solver_cache_hits_total", "counter", "Solver queries answered from the shared verdict cache.", int64(st.CacheHits))
-	write("achillesd_solver_interned_terms", "gauge", "Structurally distinct expressions held by the shared solver's intern arena.", int64(st.Interned))
+	write("achillesd_solver_interned_terms", "gauge", "Structurally distinct expressions held by the shared solver's intern table.", int64(st.Interned))
 }

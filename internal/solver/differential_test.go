@@ -5,8 +5,9 @@ package solver_test
 // Unknown and on returned models over a large corpus of random formulas.
 // The suite runs the shared-state solver deliberately — one Solver instance
 // across all queries, and concurrently in the sharded variant — so the
-// cross-query machinery (arena, propOK memo, verdict cache, prefix handles)
-// is exactly what is being exercised against the stateless reference.
+// cross-query machinery (intern table, propOK memo, verdict cache, prefix
+// handles) is exactly what is being exercised against the stateless
+// reference.
 
 import (
 	"context"
@@ -192,7 +193,7 @@ func TestSolverDifferentialPrefix(t *testing.T) {
 // TestSolverDifferentialConcurrent shards the corpus over 8 goroutines that
 // share ONE fast solver — the configuration the analysis engines run — and
 // compares every query against per-goroutine references. Run under -race in
-// CI, this is the concurrency gate for the arena/propOK state.
+// CI, this is the concurrency gate for the intern table/propOK state.
 func TestSolverDifferentialConcurrent(t *testing.T) {
 	const workers = 8
 	n := 500 // per worker

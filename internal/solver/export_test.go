@@ -45,19 +45,16 @@ type CachedQuery struct {
 // CachedQueries decodes every entry of s's verdict cache: a key's deltas are
 // summed back into intern-entry IDs and each ID is resolved to its entry's
 // expression. It fails on a key that does not decode or that names an ID
-// the arena never issued.
+// the intern table never issued.
 func CachedQueries(s *Solver) ([]CachedQuery, error) {
 	if s.cache == nil {
 		return nil, nil
 	}
-	s.arena.mu.Lock()
-	byID := make(map[uint64]*expr.Expr, s.arena.nextID)
-	for _, bucket := range s.arena.byHash {
-		for _, en := range bucket {
-			byID[en.id] = en.e
-		}
-	}
-	s.arena.mu.Unlock()
+	byID := map[uint64]*expr.Expr{}
+	s.table.entries.Range(func(_, en any) bool {
+		byID[en.(*internEntry).id] = en.(*internEntry).e
+		return true
+	})
 
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
@@ -74,7 +71,7 @@ func CachedQueries(s *Solver) ([]CachedQuery, error) {
 			b = b[n:]
 			e, ok := byID[id]
 			if !ok {
-				return nil, fmt.Errorf("cache key %x names ID %d, which the arena never issued", key, id)
+				return nil, fmt.Errorf("cache key %x names ID %d, which the intern table never issued", key, id)
 			}
 			q.Constraints = append(q.Constraints, e)
 		}
@@ -82,17 +79,3 @@ func CachedQueries(s *Solver) ([]CachedQuery, error) {
 	}
 	return out, nil
 }
-
-// memoEntries counts the pointers the memo currently holds.
-func (a *internArena) memoEntries() int {
-	n := 0
-	a.byPtr.Range(func(_, _ any) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-// MemoLen reports the number of expression pointers in s's own pointer
-// memo; the memos of scopes taken from s are not counted.
-func MemoLen(s *Solver) int { return s.arena.memoEntries() }

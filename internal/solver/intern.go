@@ -1,36 +1,29 @@
 package solver
 
-// Hash-consed expression interning. Every expression the solver touches is
-// resolved to a per-solver internEntry exactly once; the entry caches the
-// derived forms the hot path used to recompute per query:
+// Expression interning. Every expression the solver touches is resolved to
+// a per-solver internEntry exactly once; the entry caches the derived forms
+// the hot path used to recompute per query:
 //
 //   - the linearisation (linAtom or "outside the fragment");
-//   - the sorted variable list (the unit of conjState's variable table,
-//     which a query merges from its entries' lists);
 //   - filled on first use: the entry of the expression's negation
 //     (Prefix.Implies) and, for a disjunction, its split parts, the
 //     flattened and interned top-level disjuncts the DPLL split tree
 //     appends to its stacks (splitOf, part), so no split re-walks an Or
 //     tree or re-interns its atoms.
 //
-// Entries also carry a stable per-solver ID, the unit of every query key:
-// the verdict cache keys a query by the multiset of its constraints' IDs and
-// the split-gate feasible memo a conjunction by the set of its atoms' IDs.
-// IDs order by first-intern time, which is scheduling-dependent under
-// concurrent analysis workers, so both keys are built from sorted IDs and
-// never leave the solver. Prefix subsumption compares the entries
-// themselves.
+// The sorted variable list, the unit of conjState's variable table, is the
+// node's own (expr.Vars). Entries also carry a stable per-solver ID, the
+// unit of every query key: the verdict cache keys a query by the multiset
+// of its constraints' IDs and the split-gate feasible memo a conjunction by
+// the set of its atoms' IDs. IDs order by first-intern time, which is
+// scheduling-dependent under concurrent analysis workers, so both keys are
+// built from sorted IDs and never leave the solver. Prefix subsumption
+// compares the entries themselves.
 //
-// Unification is structural: hash buckets resolved with expr.Equal are the
-// only source of truth, so two structurally equal trees always map to one
-// entry and an entry can never alias two distinct expressions. In front of
-// them sits a pointer memo (path-constraint slices share expression pointers
-// across sibling states, so it hits almost always). The memo keeps every
-// pointer it holds alive, and nothing bounds it: each analysis run interns
-// on a scope of its solver (Solver.Scoped), which resolves through the same
-// buckets to the same entries with a memo of its own, so a run's trees go
-// with its scope instead of staying live in the memo of a solver that
-// outlives the run (a daemon's, a campaign's).
+// The table is keyed by node: expr makes one node per structure, so equal
+// trees map to one entry and an entry never aliases two expressions. An
+// entry holds its node, so a solver keeps alive the nodes it interned, and
+// only those; its scopes (Solver.Scoped) share its table.
 
 import (
 	"sync"
@@ -39,14 +32,13 @@ import (
 	"achilles/internal/expr"
 )
 
-// internEntry is the canonical per-solver record of one structurally
-// distinct expression. Immutable after construction, except that neg and
-// split are filled in on first use.
+// internEntry is the canonical per-solver record of one expression.
+// Immutable after construction, except that neg and split are filled in on
+// first use.
 type internEntry struct {
 	id    uint64
 	e     *expr.Expr
 	la    *linAtom                    // linearisation; nil when e is outside the linear fragment
-	vars  []string                    // sorted variable names of e
 	neg   atomic.Pointer[internEntry] // entry of expr.Not(e); see negation
 	split atomic.Pointer[splitList]   // a disjunction's split parts; see splitOf
 }
@@ -54,7 +46,7 @@ type internEntry struct {
 // splitList is the split view of a disjunction: its top-level disjuncts in
 // Or-tree order and, filled on each one's first visit, its flattened and
 // interned form. A part is interned when a split first reaches it, so the
-// arena holds exactly the entries, under the same IDs, that flattening the
+// table holds exactly the entries, under the same IDs, that flattening the
 // part at each split would create.
 type splitList struct {
 	es    []*expr.Expr
@@ -69,82 +61,51 @@ type splitPart struct {
 	ok         bool
 }
 
-// internArena unifies expressions for one Solver. Safe for concurrent use:
-// the pointer memo is a sync.Map (lock-free hits), creation and structural
-// unification run under one mutex.
-type internArena struct {
-	byPtr sync.Map // *expr.Expr -> *internEntry
-	*internTable
-}
-
-// internTable is the structural side of an arena: hash buckets, entry IDs
-// and ckeyIDs. A scoped arena (Solver.Scoped) shares its parent's table and
-// keeps a pointer memo of its own, so both resolve every tree to the same
-// entries.
+// internTable maps nodes to their entries for one Solver and its scopes.
+// Safe for concurrent use: a lookup is a lock-free sync.Map load, and
+// creation runs under one mutex.
 type internTable struct {
-	mu     sync.Mutex
-	byHash map[uint64][]*internEntry
-	nextID uint64
+	entries sync.Map // *expr.Expr -> *internEntry
+	mu      sync.Mutex
+	nextID  uint64
 	// ckeyIDs numbers distinct linear-combination fingerprints from 1 so
 	// linearConflict can compare combinations by integer (see linAtom.ckeyID).
 	ckeyIDs map[string]uint32
 }
 
-func newInternArena() *internArena {
-	return &internArena{internTable: &internTable{
-		byHash:  make(map[uint64][]*internEntry),
-		ckeyIDs: make(map[string]uint32),
-	}}
-}
-
-// scoped returns an arena on a's table with an empty pointer memo.
-func (a *internArena) scoped() *internArena {
-	return &internArena{internTable: a.internTable}
-}
-
-// intern resolves e to its canonical entry, creating it on first sight.
-func (a *internArena) intern(e *expr.Expr) *internEntry {
-	if en, ok := a.byPtr.Load(e); ok {
+// intern resolves e to its entry, creating it on first sight.
+func (t *internTable) intern(e *expr.Expr) *internEntry {
+	if en, ok := t.entries.Load(e); ok {
 		return en.(*internEntry)
 	}
-	a.mu.Lock()
-	h := e.Hash()
-	for _, en := range a.byHash[h] {
-		if expr.Equal(en.e, e) {
-			a.mu.Unlock()
-			// Remember this alias pointer too: the next lookup through the
-			// same tree is then lock-free.
-			a.byPtr.Store(e, en)
-			return en
-		}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if en, ok := t.entries.Load(e); ok {
+		return en.(*internEntry)
 	}
-	en := &internEntry{id: a.nextID, e: e}
-	a.nextID++
+	en := &internEntry{id: t.nextID, e: e}
+	t.nextID++
 	en.la, _ = linearise(e)
 	if en.la != nil && en.la.ckey != "" {
-		id, ok := a.ckeyIDs[en.la.ckey]
+		id, ok := t.ckeyIDs[en.la.ckey]
 		if !ok {
-			id = uint32(len(a.ckeyIDs) + 1)
-			a.ckeyIDs[en.la.ckey] = id
+			id = uint32(len(t.ckeyIDs) + 1)
+			t.ckeyIDs[en.la.ckey] = id
 		}
 		en.la.ckeyID = id
 	}
-	en.vars = expr.Vars(e)
-	a.byHash[h] = append(a.byHash[h], en)
-	a.mu.Unlock()
-	a.byPtr.Store(e, en)
+	t.entries.Store(e, en)
 	return en
 }
 
 // negation returns the entry of expr.Not(en.e). Prefix.Implies asks for the
-// complements of the same atoms over and over; a fresh Not tree per call
-// would be garbage on return that the memo keeps alive, so each entry
+// complements of the same atoms over and over, so each entry builds and
 // interns its complement once and keeps it.
-func (a *internArena) negation(en *internEntry) *internEntry {
+func (t *internTable) negation(en *internEntry) *internEntry {
 	if n := en.neg.Load(); n != nil {
 		return n
 	}
-	n := a.intern(expr.Not(en.e))
+	n := t.intern(expr.Not(en.e))
 	en.neg.Store(n)
 	return n
 }
@@ -182,16 +143,16 @@ func (s *Solver) part(l *splitList, i int) *splitPart {
 }
 
 // size reports the number of distinct interned expressions.
-func (a *internArena) size() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return int(a.nextID)
+func (t *internTable) size() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return int(t.nextID)
 }
 
 // appendInterned appends the entries of constraints, in order, to dst.
 func (s *Solver) appendInterned(dst []*internEntry, constraints []*expr.Expr) []*internEntry {
 	for _, c := range constraints {
-		dst = append(dst, s.arena.intern(c))
+		dst = append(dst, s.table.intern(c))
 	}
 	return dst
 }

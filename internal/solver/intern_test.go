@@ -1,9 +1,8 @@
 package solver
 
 // White-box tests for solver scopes (Solver.Scoped): a scope must answer,
-// key and number entries as its parent would while keeping its own pointer
-// memo, and sibling scopes must each count their own work while their
-// parent counts the sum.
+// key and number entries as its parent would, and sibling scopes must each
+// count their own work while their parent counts the sum.
 
 import (
 	"context"
@@ -16,19 +15,19 @@ import (
 	"achilles/internal/expr"
 )
 
-// memoOutcome is everything one query's answers can take from the arena.
-type memoOutcome struct {
+// outcome is everything one query's answers can take from the intern table.
+type outcome struct {
 	res, prefixRes     Result
 	model, prefixModel expr.Env
 	key                string
 	holds, decided     bool
 }
 
-// askMemo runs each query through s: Check, the cache key of its interned
+// ask runs each query through s: Check, the cache key of its interned
 // form, and a prefix of its first constraint deciding the rest (which also
 // asks Implies of the last constraint, so complements are interned too).
-func askMemo(s *Solver, qs [][]*expr.Expr) []memoOutcome {
-	out := make([]memoOutcome, len(qs))
+func ask(s *Solver, qs [][]*expr.Expr) []outcome {
+	out := make([]outcome, len(qs))
 	for i, q := range qs {
 		o := &out[i]
 		o.res, o.model = s.Check(q)
@@ -41,7 +40,7 @@ func askMemo(s *Solver, qs [][]*expr.Expr) []memoOutcome {
 }
 
 // sameOutcomes reports the first query whose answers differ.
-func sameOutcomes(got, want []memoOutcome) error {
+func sameOutcomes(got, want []outcome) error {
 	for i := range want {
 		g, w := got[i], want[i]
 		if g.res != w.res || !maps.Equal(g.model, w.model) || g.key != w.key ||
@@ -64,32 +63,25 @@ func entryIDs(s *Solver, qs [][]*expr.Expr) []uint64 {
 	return ids
 }
 
-// TestScopedSolverSharesAllButMemo holds Solver.Scoped: a scoped solver
+// TestScopedSolverSharesAllButCounters holds Solver.Scoped: a scoped solver
 // answers as its parent would, counts into the parent's statistics and
-// fills the parent's verdict cache and intern table, while the pointers it
-// interns stay out of the parent's memo.
-func TestScopedSolverSharesAllButMemo(t *testing.T) {
+// fills the parent's verdict cache and intern table.
+func TestScopedSolverSharesAllButCounters(t *testing.T) {
 	s, ref := Default(), Default()
-	want := askMemo(ref, trojanShapedQueries())
+	want := ask(ref, trojanShapedQueries())
 	sc := s.Scoped()
 	qs := trojanShapedQueries()
-	if err := sameOutcomes(askMemo(sc, qs), want); err != nil {
+	if err := sameOutcomes(ask(sc, qs), want); err != nil {
 		t.Fatal(err)
 	}
 	if st, rst := s.Stats(), ref.Stats(); st != rst {
 		t.Fatalf("parent statistics after the scope's queries %+v, reference %+v", st, rst)
 	}
-	if n := s.arena.memoEntries(); n != 0 {
-		t.Fatalf("the parent's memo holds %d pointers the scope interned", n)
-	}
-	if sc.arena.memoEntries() == 0 {
-		t.Fatal("the scope's memo holds nothing")
-	}
 	if got, want := entryIDs(s, qs), entryIDs(sc, qs); !slices.Equal(got, want) {
 		t.Fatalf("parent and scope resolve the same trees to different entries:\n got %v\nwant %v", got, want)
 	}
 	misses := s.Stats().CacheMisses
-	if err := sameOutcomes(askMemo(s, trojanShapedQueries()), want); err != nil {
+	if err := sameOutcomes(ask(s, trojanShapedQueries()), want); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Stats().CacheMisses; got != misses {

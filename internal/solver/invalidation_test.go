@@ -1,8 +1,8 @@
 package solver_test
 
 // Invalidation coverage for what a solver proves. Verdict-cache keys are
-// intern-entry IDs of one solver's arena, so no verdict outlives its solver
-// and every new process starts cold. The one store of solver results that
+// intern-entry IDs of one solver's intern table, so no verdict outlives its
+// solver and every new process starts cold. The one store of solver results that
 // does outlive a process is the campaign baseline, and solver.Version gates
 // it through every job's input fingerprint: a baseline audited under any
 // other revision is re-run, never reused.

@@ -30,7 +30,7 @@ type linAtom struct {
 	// linearise time instead of per linearConflict scan.
 	ckey string
 	cneg bool
-	// ckeyID is the arena-assigned small integer for ckey (0 = unassigned).
+	// ckeyID is the intern-table-assigned small integer for ckey (0 = unassigned).
 	// Two atoms of one solver share a combination iff their IDs are equal
 	// and nonzero, which lets linearConflict detect "no shared combination"
 	// with integer compares instead of string-keyed maps.
@@ -136,7 +136,7 @@ func linearConflict(atoms []*linAtom) bool {
 	// When all IDs are distinct (the common case for a freshly extended
 	// path), no conflict is possible and the string-keyed bookkeeping below
 	// — maps allocated per call — is skipped entirely. An unassigned ID
-	// (atom built outside the arena) conservatively forces the full scan.
+	// (atom built outside the intern table) conservatively forces the full scan.
 	var idBuf [64]uint32
 	seen := idBuf[:0]
 	dup := false

@@ -78,7 +78,7 @@ func (p *Prefix) Extend(cond *expr.Expr) *Prefix {
 		return nil
 	}
 	s := p.s
-	en := s.arena.intern(cond)
+	en := s.table.intern(cond)
 	np := &Prefix{
 		s:       s,
 		ids:     insertSorted(p.ids, en.id),
@@ -111,14 +111,14 @@ func (p *Prefix) Implies(cond *expr.Expr) (holds, ok bool) {
 	if p == nil || p.refuted || len(p.conj) == 0 {
 		return false, false
 	}
-	en := p.s.arena.intern(cond)
+	en := p.s.table.intern(cond)
 	if en.la == nil || len(en.la.vars) == 0 {
 		return false, false
 	}
 	if slices.Contains(p.conj, en) {
 		return true, true
 	}
-	nen := p.s.arena.negation(en)
+	nen := p.s.table.negation(en)
 	if nen.la == nil || len(nen.la.vars) == 0 {
 		return false, false
 	}

@@ -22,7 +22,7 @@ package solver
 //
 // The pointer-holding buffers are cleared before a scratch returns to the
 // pool, so a pooled buffer keeps no finished query's trees, or a discarded
-// solver's arena, reachable.
+// solver's intern table, reachable.
 
 import (
 	"sync"
@@ -99,8 +99,8 @@ func (s *Solver) flush(t *tally) {
 }
 
 // conjState assembles the conjunction search state of entries on the
-// scratch's buffers: linearisations and variable lists come from the arena
-// instead of being recomputed. The dense layout is left to the first
+// scratch's buffers: linearisations come from the intern table and variable
+// lists from the nodes instead of being recomputed. The dense layout is left to the first
 // propagate: the refutation layer in front of it needs only the atoms. The
 // state is returned by value so that it can live on the caller's stack; it
 // is valid until the next conjState call on sc.
@@ -111,7 +111,7 @@ func (sc *scratch) conjState(entries []*internEntry) conjState {
 			cs.atoms = append(cs.atoms, en.la)
 		} else {
 			cs.nonlin = append(cs.nonlin, en.e)
-			cs.nonlinVars = append(cs.nonlinVars, en.vars)
+			cs.nonlinVars = append(cs.nonlinVars, expr.Vars(en.e))
 		}
 	}
 	sc.atoms, sc.nonlin, sc.nonlinVars = cs.atoms, cs.nonlin, cs.nonlinVars
@@ -124,18 +124,19 @@ func (sc *scratch) conjState(entries []*internEntry) conjState {
 func (sc *scratch) varTable(entries []*internEntry) []string {
 	out := sc.vars[:0]
 	for _, en := range entries {
-		if subset(en.vars, out) {
+		vars := expr.Vars(en.e)
+		if subset(vars, out) {
 			continue
 		}
 		merged := sc.tmp[:0]
 		i, j := 0, 0
-		for i < len(out) || j < len(en.vars) {
+		for i < len(out) || j < len(vars) {
 			switch {
-			case j == len(en.vars) || (i < len(out) && out[i] < en.vars[j]):
+			case j == len(vars) || (i < len(out) && out[i] < vars[j]):
 				merged = append(merged, out[i])
 				i++
-			case i == len(out) || en.vars[j] < out[i]:
-				merged = append(merged, en.vars[j])
+			case i == len(out) || vars[j] < out[i]:
+				merged = append(merged, vars[j])
 				j++
 			default:
 				merged = append(merged, out[i])

@@ -184,7 +184,7 @@ type Solver struct {
 	opts   Options
 	stats  *counters
 	cache  *verdictCache // nil when disabled
-	arena  *internArena  // hash-consed expressions (intern.go)
+	table  *internTable  // interned expressions (intern.go)
 	propOK *feasibleMemo // non-refuted split-gate index (learn.go)
 }
 
@@ -196,25 +196,22 @@ func New(opts Options) *Solver {
 	if opts.MaxEnumDomain == 0 {
 		opts.MaxEnumDomain = 1 << 16
 	}
-	s := &Solver{opts: opts, stats: &counters{}, arena: newInternArena(), propOK: newFeasibleMemo()}
+	s := &Solver{opts: opts, stats: &counters{}, table: &internTable{ckeyIDs: map[string]uint32{}}, propOK: newFeasibleMemo()}
 	if !opts.DisableCache {
 		s.cache = newVerdictCache(cacheEntries)
 	}
 	return s
 }
 
-// Scoped returns a scope of s: a solver that shares s's verdict cache and
-// its single flight, intern table and feasible memo, and keeps its own
-// expression-pointer memo and counters. Every answer and cache key is the
-// one s would give. The scope counts from zero, and each count it takes
-// also reaches s, so s's Stats stay its totals. core.RunCtx runs every
-// analysis on a scope of its solver and client extraction on a scope of
-// that: the trees a run builds are garbage when its scope goes, instead of
-// staying live in the pointer memo of a solver that outlives the run, and
-// the scope's Stats are the run's own work.
+// Scoped returns a scope of s: a solver that shares everything of s's but
+// its counters (the verdict cache and its single flight, the intern table
+// and the feasible memo), so every answer and cache key is the one s would
+// give. The scope counts from zero, and each count it takes also reaches s,
+// so s's Stats stay its totals and the scope's are the work asked through
+// it. core.RunCtx runs every analysis on a scope of its solver, so a run's
+// Stats are its own work on any solver, shared or not.
 func (s *Solver) Scoped() *Solver {
 	c := *s
-	c.arena = s.arena.scoped()
 	c.stats = &counters{parent: s.stats}
 	return &c
 }
@@ -234,7 +231,7 @@ func (s *Solver) Stats() Stats {
 		Unknowns:     c.get(cUnknowns),
 		CacheHits:    c.get(cCacheHits),
 		CacheMisses:  c.get(cCacheMisses),
-		Interned:     s.arena.size(),
+		Interned:     s.table.size(),
 		FeasibleHits: c.get(cFeasibleHits),
 		RoundCaps:    c.get(cRoundCaps),
 	}
@@ -285,7 +282,7 @@ func (s *Solver) CheckCtx(ctx context.Context, constraints []*expr.Expr) (Result
 // from the cache, taken from another query's flight or forced by a
 // cancelled wait, so a scope's count does not depend on what the cache
 // held before its queries.
-func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.Expr) (Result, expr.Env) {
+func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.Expr) (res Result, model expr.Env) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -293,18 +290,15 @@ func (s *Solver) CheckPrefixCtx(ctx context.Context, p *Prefix, conds ...*expr.E
 		p = emptyPrefix
 	}
 	s.stats.add(cQueries, 1)
+	defer func() {
+		if res == Unknown {
+			s.stats.add(cUnknowns, 1)
+		}
+	}()
 	// The entries and the key live on the stack unless a query outgrows
 	// them, so a cache hit allocates nothing.
 	var small [32]*internEntry
-	res, model := s.answer(ctx, p, s.appendInterned(small[:0], conds))
-	if res == Unknown {
-		s.stats.add(cUnknowns, 1)
-	}
-	return res, model
-}
-
-// answer is CheckPrefixCtx's cache protocol over the interned conds.
-func (s *Solver) answer(ctx context.Context, p *Prefix, ens []*internEntry) (Result, expr.Env) {
+	ens := s.appendInterned(small[:0], conds)
 	if s.cache == nil {
 		return s.check(ctx, p, ens)
 	}
@@ -381,10 +375,10 @@ func (s *Solver) flattenInto(e *expr.Expr, conj, disj *[]*internEntry) bool {
 	case expr.KAnd:
 		return s.flattenInto(e.Args[0], conj, disj) && s.flattenInto(e.Args[1], conj, disj)
 	case expr.KOr:
-		*disj = append(*disj, s.arena.intern(e))
+		*disj = append(*disj, s.table.intern(e))
 		return true
 	default:
-		*conj = append(*conj, s.arena.intern(e))
+		*conj = append(*conj, s.table.intern(e))
 		return true
 	}
 }
