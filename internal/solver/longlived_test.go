@@ -78,13 +78,13 @@ func checkNodesReleased(t *testing.T, base int) {
 	}
 }
 
-// checkHeld fails t unless the canonical-node table holds at least the
-// nodes s interned beyond base while s is live, so a later release check
-// cannot pass for want of work.
-func checkHeld(t *testing.T, s *solver.Solver, base int) {
+// checkHeld fails t unless the canonical-node tables hold at least the
+// nodes s interned, and those outnumber the slack, while s is live, so a
+// later release check cannot pass for want of work.
+func checkHeld(t *testing.T, s *solver.Solver) {
 	t.Helper()
-	if n, in := expr.Live(), s.Stats().Interned; in <= nodeSlack || n < base+in {
-		t.Fatalf("the table holds %d nodes (%d before the work) for a solver that interned %d", n, base, in)
+	if n, in := expr.Live(), s.Stats().Interned; in <= nodeSlack || n < in {
+		t.Fatalf("the tables hold %d nodes for a solver that interned %d", n, in)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestLongLivedSolverMatchesGoldens(t *testing.T) {
 		if st := sol.Stats(); st.Interned == 0 || st.CacheHits == 0 {
 			t.Fatalf("the runs never reached the shared table and cache: %+v", st)
 		}
-		checkHeld(t, sol, base)
+		checkHeld(t, sol)
 	}()
 	checkNodesReleased(t, base)
 }
@@ -160,7 +160,7 @@ func TestAuditsReleaseTheirNodes(t *testing.T) {
 				t.Fatalf("job %s failed: %s", rm.Key(), rm.Error)
 			}
 		}
-		checkHeld(t, fleet, base)
+		checkHeld(t, fleet)
 	}()
 	checkNodesReleased(t, base)
 
@@ -180,7 +180,7 @@ func TestAuditsReleaseTheirNodes(t *testing.T) {
 		if got, want := classSet(core.ClassLines(run)), golden(t, "fsp"); got != want {
 			t.Fatalf("fsp-rich diverged from fsp.golden:\n%s", got)
 		}
-		checkHeld(t, rich, base)
+		checkHeld(t, rich)
 	}()
 	checkNodesReleased(t, base)
 }
